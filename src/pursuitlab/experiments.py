@@ -36,7 +36,7 @@ import numpy as np
 
 from .bounds import COSAMP, SP, bounds_for, canonical_family
 from .fileio import SCHEMA_VERSION
-from .recovery import StoppingRule, audit_run, cosamp, subspace_pursuit
+from .recovery import StoppingRule, audit_run, cosamp, merged_size, subspace_pursuit
 from .ric import DEFAULT_ENUMERATION_BUDGET, exact_ric
 from .seeding import derive_seed
 from .signals import KINDS, make_instance
@@ -118,6 +118,12 @@ class ExperimentConfig:
         for cell in self.grid:
             if not (1 <= cell.s <= cell.m <= cell.n):
                 raise ValueError(f"bad grid cell {cell}: need 1 <= s <= m <= N")
+            for alg in self.algorithms:
+                need = merged_size(alg, cell.s)
+                if need > cell.m:
+                    raise ValueError(
+                        f"bad grid cell {cell}: {alg} needs m >= {need} for full-rank least squares"
+                    )
 
     @classmethod
     def from_dict(cls, raw: dict, default_output: str = "results.csv") -> "ExperimentConfig":
@@ -161,9 +167,12 @@ def _worker_count() -> int:
     return max(1, workers)
 
 
-def _recover(algorithm: str, instance, stop: StoppingRule):
+def _recover(algorithm: str, instance, stop: StoppingRule, with_truth: bool):
+    # Ground truth forces a full trace with per-iteration error norms; only
+    # convergence rows and audits read them.
     run = subspace_pursuit if algorithm == SP else cosamp
-    return run(instance.phi, instance.y, instance.s, stop=stop, truth=instance.x)
+    truth = instance.x if with_truth else None
+    return run(instance.phi, instance.y, instance.s, stop=stop, truth=truth, trace="none")
 
 
 def _fmt(value) -> str:
@@ -191,7 +200,7 @@ def _run_trial(
     out: dict = {"seed": seed, "algorithms": {}}
     for algorithm in algorithms:
         entry: dict = {}
-        result = _recover(algorithm, instance, stop)
+        result = _recover(algorithm, instance, stop, config.experiment != "phase-transition")
         error = float(np.linalg.norm(result.estimate - instance.x))
         rel_error = error / x_norm if x_norm > 0 else error
         entry.update(

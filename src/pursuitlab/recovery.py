@@ -14,6 +14,14 @@ until the residual criterion fires or ``n_max`` iterations have run.
 Top-k selections break magnitude ties toward the smaller index, so runs
 are deterministic.
 
+Each iteration is a pure function of the state (support, estimate bytes)
+left by the previous one.  Once that state repeats bitwise the rest of the
+run is periodic and the residual criterion can no longer fire, so the loop
+stops computing and replays the cycle's records up to ``n_max``: results
+and traces are identical to running every iteration, and
+``RecoveryResult.stop_reason`` says which of ``residual``, ``cycle`` or
+``cap`` ended the run.
+
 ``audit_iteration`` re-measures, on an instrumented run, every
 per-iteration inequality that is provable from a certified isometry
 constant; with a certified constant below the algorithm's threshold a
@@ -22,7 +30,7 @@ reported violation means a bug, not bad luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,7 +82,8 @@ class IterationRecord:
     Vector fields are retained only in full-trace mode (automatic whenever
     ground truth is supplied); ``signal_error`` and ``tail_energy`` are the
     distances ||x_s - x^n|| and ||x_s outside the pruned support|| and are
-    present only with ground truth.
+    present only with ground truth.  Records replayed from a cycle share
+    their arrays with the records they repeat.
     """
 
     n: int
@@ -90,11 +99,23 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RecoveryResult:
+    """Final state of a run and its per-iteration records.
+
+    ``stop_reason`` is ``residual`` when the residual criterion fired,
+    ``cycle`` when the state repeated bitwise (the remaining records up to
+    ``n_max`` were replayed from the cycle) and ``cap`` when ``n_max`` was
+    reached first.  It is not part of any output file.
+    """
+
     estimate: np.ndarray
     support: SupportSet
     iterations: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
     algorithm: str = SP
+    stop_reason: str = "cap"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "residual"
 
     @property
     def residual_history(self) -> list[float]:
@@ -109,6 +130,14 @@ class InequalityCheck:
     lhs: float
     rhs: float
     holds: bool
+
+
+def merged_size(algorithm: str, s: int) -> int:
+    """Largest merged support the algorithm solves least squares on.
+
+    Full-rank least squares on it needs at least this many measurements.
+    """
+    return 2 * s if algorithm == SP else 3 * s
 
 
 def _run(
@@ -126,7 +155,7 @@ def _run(
     if y.shape[0] != m:
         raise ValueError(f"measurement length {y.shape[0]} != matrix rows {m}")
     pick = s if algorithm == SP else 2 * s
-    merged_cap = 2 * s if algorithm == SP else 3 * s
+    merged_cap = merged_size(algorithm, s)
     if not 1 <= s <= n:
         raise ValueError(f"sparsity s={s} out of range for {n} columns")
     if merged_cap > m:
@@ -149,7 +178,10 @@ def _run(
     estimate = np.zeros(n)
     support = SupportSet.empty(n)
     records: list[IterationRecord] = []
-    converged = False
+    # State after each iteration -> that iteration; insertion order makes
+    # the i-th key the state after iteration i + 1.
+    first_seen: dict[tuple[tuple[int, ...], bytes], int] = {}
+    stop_reason = "cap"
     threshold = stop.residual_threshold
 
     for it in range(1, stop.n_max + 1):
@@ -186,15 +218,31 @@ def _run(
             )
         )
         if residual_norm <= threshold:
-            converged = True
+            stop_reason = "residual"
+            break
+        # The next iteration is a pure function of this state.  If it equals
+        # the state after iteration `first`, iteration k > it would repeat
+        # iteration first + 1 + (k - first - 1) % period, so replay instead.
+        first = first_seen.setdefault((support.indices, estimate.tobytes()), it)
+        if first != it:
+            stop_reason = "cycle"
+            period = it - first
+            cycle = records[first:]
+            records.extend(
+                replace(cycle[(k - first - 1) % period], n=k)
+                for k in range(it + 1, stop.n_max + 1)
+            )
+            indices, final = list(first_seen)[first - 1 + (stop.n_max - first) % period]
+            support = SupportSet(indices, n)
+            estimate = np.frombuffer(final).copy()
             break
 
     return RecoveryResult(
         estimate=estimate,
         support=support,
         iterations=records,
-        converged=converged,
         algorithm=algorithm,
+        stop_reason=stop_reason,
     )
 
 

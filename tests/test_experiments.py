@@ -40,6 +40,13 @@ def test_config_validation():
         ExperimentConfig.from_dict(config_dict(algorithms=["OMP"]))
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(config_dict(grid=[{"m": 4, "N": 2, "s": 1}]))
+    # Cells too small for full-rank least squares fail before any work starts.
+    with pytest.raises(ValueError, match="m=8.*CoSaMP needs m >= 12"):
+        ExperimentConfig(
+            "phase-transition", ("SP", "CoSaMP"), (GridCell(8, 32, 4, 0.0),), 1, 0, "out.csv"
+        )
+    with pytest.raises(ValueError, match="m=7.*SP needs m >= 8"):
+        ExperimentConfig.from_dict(config_dict(grid=[{"m": 7, "N": 32, "s": 4}]))
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(
             config_dict(experiment="bounds-table", deltas=[], families=[])

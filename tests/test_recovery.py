@@ -1,20 +1,29 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pursuitlab.recovery
 from pursuitlab import (
+    IterationRecord,
     SingularSupportError,
     StoppingRule,
+    SupportSet,
     audit_iteration,
     audit_run,
     best_s_term,
     cosamp,
     exact_ric,
+    least_squares_on_support,
     make_instance,
     restrict,
     sampled_ric_lower_bound,
     sp_bounds,
     sp_tail_metric_bounds,
     subspace_pursuit,
+    top_k_magnitude,
 )
 from conftest import base_frame, instance_for, perturbed_frame, sparse_signal
 
@@ -104,6 +113,101 @@ def test_trace_levels():
     assert all(r.estimate is not None for r in full.iterations)
     with_truth = subspace_pursuit(inst.phi, inst.y, 3, truth=inst.x)
     assert all(r.signal_error is not None for r in with_truth.iterations)
+
+
+def reference_run(name, phi, y, s, stop, truth):
+    """The recovery loop without early exit: every one of n_max iterations runs."""
+    n = phi.shape[1]
+    x_s = best_s_term(truth, s)[1] if truth is not None else None
+    estimate, support, records = np.zeros(n), SupportSet.empty(n), []
+    for it in range(1, stop.n_max + 1):
+        delta_support = top_k_magnitude(phi.T @ (y - phi @ estimate), s if name == "SP" else 2 * s)
+        merged = support.union(delta_support)
+        intermediate = least_squares_on_support(phi, y, merged)
+        support = top_k_magnitude(intermediate, s)
+        if name == "SP":
+            estimate = least_squares_on_support(phi, y, support)
+        else:
+            estimate = restrict(intermediate, support)
+        residual = float(np.linalg.norm(y - phi @ estimate))
+        full = x_s is not None
+        records.append(IterationRecord(
+            it, delta_support, merged, support, residual,
+            intermediate if full else None,
+            estimate.copy() if full else None,
+            float(np.linalg.norm(x_s - estimate)) if full else None,
+            float(np.linalg.norm(restrict(x_s, support.complement()))) if full else None,
+        ))
+        if residual <= stop.residual_threshold:
+            return estimate, support, records, True
+    return estimate, support, records, False
+
+
+def _bitwise_equal(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is not None and b is not None and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["SP", "CoSaMP"]),
+    m=st.integers(12, 16),
+    sigma=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**16),
+    n_max=st.integers(1, 40),
+    with_truth=st.booleans(),
+)
+# Cycles of period 2, 3 and 5 whose replay ends mid-cycle.
+@example(name="SP", m=12, sigma=0.0, seed=98, n_max=7, with_truth=True)
+@example(name="CoSaMP", m=14, sigma=0.0, seed=68, n_max=11, with_truth=False)
+@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=40, with_truth=True)
+def test_cycle_replay_matches_full_run(name, m, sigma, seed, n_max, with_truth):
+    inst = make_instance("exact-sparse", m, 64, 4, sigma, seed)
+    stop = StoppingRule(n_max=n_max, e_prime_norm_hint=inst.e_prime_norm)
+    truth = inst.x if with_truth else None
+    run = subspace_pursuit if name == "SP" else cosamp
+    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth)
+    estimate, support, records, converged = reference_run(name, inst.phi, inst.y, 4, stop, truth)
+    assert result.estimate.tobytes() == estimate.tobytes()
+    assert result.support == support
+    assert result.converged == converged
+    assert len(result.iterations) == len(records)
+    for got, want in zip(result.iterations, records):
+        for f in fields(IterationRecord):
+            assert _bitwise_equal(getattr(got, f.name), getattr(want, f.name)), (got.n, f.name)
+
+
+@pytest.mark.parametrize("name,run,m,solves_per_iteration", [
+    ("SP", subspace_pursuit, 12, 2),
+    ("CoSaMP", cosamp, 14, 1),
+])
+def test_cycle_stops_the_work(name, run, m, solves_per_iteration, monkeypatch):
+    # Measured once: every failing run repeats by iteration 6 (SP) or 25
+    # (CoSaMP) with periods 1, 2, 3 and 5.
+    solves = []
+
+    def counted(*args):
+        solves.append(None)
+        return least_squares_on_support(*args)
+
+    monkeypatch.setattr(pursuitlab.recovery, "least_squares_on_support", counted)
+    stop = StoppingRule()
+    failing = None
+    for seed in range(200):
+        inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
+        solves.clear()
+        result = run(inst.phi, inst.y, 4, stop=stop)
+        if result.converged:
+            assert result.stop_reason == "residual"
+            continue
+        failing = inst
+        assert result.stop_reason == "cycle"
+        assert len(result.iterations) == stop.n_max
+        assert len(solves) / solves_per_iteration < stop.n_max / 3
+    assert failing is not None
+    capped = run(failing.phi, failing.y, 4, stop=StoppingRule(n_max=1))
+    assert capped.stop_reason == "cap" and not capped.converged
 
 
 def test_stopping_rule_honored():
