@@ -208,11 +208,12 @@ def _run_trial(
             iterations=len(result.iterations),
             final_error=rel_error,
             success=rel_error <= config.success_threshold,
-            history=[
+        )
+        if config.experiment == "convergence":
+            entry["history"] = [
                 (rec.n, rec.residual_norm, rec.signal_error, rec.tail_energy)
                 for rec in result.iterations
-            ],
-        )
+            ]
         if config.experiment == "audit":
             order = 3 * cell.s if algorithm == SP else 4 * cell.s
             delta = exact_ric(instance.phi, order, budget=config.ric_budget)

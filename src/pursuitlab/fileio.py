@@ -4,7 +4,19 @@ Matrix files carry a ``# dense m N`` header line followed by m rows of N
 comma-separated decimals; vector files carry ``# vector dim`` followed by
 one value per line.  Headers are matched exactly and floats are written
 with shortest round-trip precision, so fixtures are diffable and re-writing
-a parsed file reproduces it byte for byte.
+a parsed file reproduces it byte for byte.  Blank lines in the body are
+skipped, and error messages give physical line numbers (the header is
+line 1).
+
+``read_matrix`` tries a fast path first: each row is counted (``n - 1``
+commas), converted with ``float()`` per token into a preallocated array,
+and the whole array is checked finite once.  If any of those checks fails,
+the per-token loop re-scans the rows from the first one and raises the
+first error in file order.  The fast path calls the same ``float()`` on
+the same tokens, so it cannot change a value, and since it only hands over
+to the per-token loop, which checks the same three conditions, it cannot
+change a message either.  Vectors are short and always take the per-token
+loop.  Writers stream one row at a time to the file.
 """
 
 from __future__ import annotations
@@ -25,10 +37,6 @@ class FileFormatError(ValueError):
     """Malformed input file; the message names the offending line/field."""
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _parse_value(token: str, path: str, line_no: int, field_no: int) -> float:
     try:
         value = float(token)
@@ -43,12 +51,31 @@ def _parse_value(token: str, path: str, line_no: int, field_no: int) -> float:
     return value
 
 
+def _data_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """``(physical line number, text)`` for each non-blank line after the header."""
+    return [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+
+
+def _fill_rows(body: list[tuple[int, str]], out: np.ndarray) -> bool:
+    """Fast path: parse ``body`` into ``out``; False if a row needs the per-token scan."""
+    n = out.shape[1]
+    try:
+        for i, (_, ln) in enumerate(body):
+            if ln.count(",") != n - 1:
+                return False
+            out[i] = np.fromiter(map(float, ln.split(",")), float, count=n)
+    except ValueError:
+        return False
+    return bool(np.isfinite(out).all())
+
+
 def write_matrix(path: str | Path, phi: np.ndarray) -> None:
     phi = as_matrix(phi)
     m, n = phi.shape
-    lines = [f"# dense {m} {n}"]
-    lines += [",".join(_fmt(v) for v in row) for row in phi]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        f.write(f"# dense {m} {n}\n")
+        for row in phi:
+            f.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -67,22 +94,27 @@ def read_matrix(path: str | Path) -> np.ndarray:
         raise FileFormatError(f"{path}: line 1: dimensions must be positive, got {m} x {n}")
     if lines[0] != f"# dense {m} {n}":
         raise FileFormatError(f"{path}: line 1: header must be exactly '# dense {m} {n}'")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = _data_lines(lines)
     if len(body) != m:
         raise FileFormatError(f"{path}: expected {m} data rows, got {len(body)}")
-    rows = []
-    for i, ln in enumerate(body, start=2):
+    out = np.empty((m, n))
+    if _fill_rows(body, out):
+        return out
+    # Slow path: raises the first error in file order.
+    for line_no, ln in body:
         tokens = ln.split(",")
         if len(tokens) != n:
-            raise FileFormatError(f"{path}: line {i}: expected {n} values, got {len(tokens)}")
-        rows.append([_parse_value(tok, path, i, j + 1) for j, tok in enumerate(tokens)])
-    return np.asarray(rows)
+            raise FileFormatError(f"{path}: line {line_no}: expected {n} values, got {len(tokens)}")
+        for j, tok in enumerate(tokens):
+            _parse_value(tok, path, line_no, j + 1)
+    raise AssertionError("unreachable")
 
 
 def write_vector(path: str | Path, v: np.ndarray) -> None:
     v = as_vector(v)
-    lines = [f"# vector {v.shape[0]}"] + [_fmt(x) for x in v]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        f.write(f"# vector {v.shape[0]}\n")
+        f.writelines(repr(x) + "\n" for x in v.tolist())
 
 
 def read_vector(path: str | Path) -> np.ndarray:
@@ -101,12 +133,10 @@ def read_vector(path: str | Path) -> np.ndarray:
         raise FileFormatError(f"{path}: line 1: dimension must be positive, got {dim}")
     if lines[0] != f"# vector {dim}":
         raise FileFormatError(f"{path}: line 1: header must be exactly '# vector {dim}'")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = _data_lines(lines)
     if len(body) != dim:
         raise FileFormatError(f"{path}: expected {dim} values, got {len(body)}")
-    return np.asarray(
-        [_parse_value(ln, path, i, 1) for i, ln in enumerate(body, start=2)]
-    )
+    return np.asarray([_parse_value(ln, path, i, 1) for i, ln in body])
 
 
 def dump_json(payload: dict) -> str:

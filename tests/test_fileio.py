@@ -1,5 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pursuitlab.fileio import (
     FileFormatError,
@@ -69,6 +74,13 @@ def test_matrix_errors_name_line_and_field(tmp_path):
     path.write_text("# dense 1 1\ninf\n")
     with pytest.raises(FileFormatError, match="finite"):
         read_matrix(path)
+    # Blank lines are skipped but counted: line numbers are physical lines.
+    path.write_text("# dense 2 2\n\n1,2\n3,x\n")
+    with pytest.raises(FileFormatError, match=r"line 4, field 2: 'x' is not a number"):
+        read_matrix(path)
+    path.write_text("# dense 2 2\n1,2\n\n\n3\n")
+    with pytest.raises(FileFormatError, match=r"line 5: expected 2 values, got 1"):
+        read_matrix(path)
 
 
 def test_vector_errors(tmp_path):
@@ -81,6 +93,9 @@ def test_vector_errors(tmp_path):
         read_vector(path)
     path.write_text("# vector 1\nnan\n")
     with pytest.raises(FileFormatError, match="finite"):
+        read_vector(path)
+    path.write_text("# vector 2\n\n1\nx\n")
+    with pytest.raises(FileFormatError, match=r"line 4, field 1: 'x' is not a number"):
         read_vector(path)
 
 
@@ -104,3 +119,162 @@ def test_recovery_payload_trace_levels():
     full_payload = recovery_payload(result, trace="full")
     assert "estimate" in full_payload["iterations"][0]
     assert full_payload["schema_version"] == 1
+
+
+# --- Reference: the per-token readers the fast paths replace -------------
+# Kept as the oracle for values and messages, with blank lines skipped but
+# counted so that line numbers are physical lines.
+
+
+def _ref_value(token, path, line_no, field_no):
+    try:
+        value = float(token)
+    except ValueError:
+        raise FileFormatError(
+            f"{path}: line {line_no}, field {field_no}: {token.strip()!r} is not a number"
+        ) from None
+    if not np.isfinite(value):
+        raise FileFormatError(f"{path}: line {line_no}, field {field_no}: value must be finite")
+    return value
+
+
+def _ref_body(path):
+    lines = Path(path).read_text().splitlines()
+    return lines[0].split(), [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+
+
+def ref_read_matrix(path):
+    path = str(path)
+    head, body = _ref_body(path)
+    m, n = int(head[2]), int(head[3])
+    if len(body) != m:
+        raise FileFormatError(f"{path}: expected {m} data rows, got {len(body)}")
+    rows = []
+    for i, ln in body:
+        tokens = ln.split(",")
+        if len(tokens) != n:
+            raise FileFormatError(f"{path}: line {i}: expected {n} values, got {len(tokens)}")
+        rows.append([_ref_value(tok, path, i, j + 1) for j, tok in enumerate(tokens)])
+    return np.asarray(rows)
+
+
+def ref_read_vector(path):
+    path = str(path)
+    head, body = _ref_body(path)
+    dim = int(head[2])
+    if len(body) != dim:
+        raise FileFormatError(f"{path}: expected {dim} values, got {len(body)}")
+    return np.asarray([_ref_value(ln, path, i, 1) for i, ln in body])
+
+
+def _outcome(reader, path):
+    """('ok', dtype, shape, raw bytes) or ('error', message)."""
+    try:
+        a = reader(path)
+    except FileFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", a.dtype, a.shape, a.tobytes())
+
+
+# Values at the edges of float64 and of repr's switch to exponent notation.
+SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1e16, -1e16, 9999999999999998.0,
+    1.0000000000000002e16, 1e-5, -1e-5, 1e-4, 9.999999999999999e-05, 0.1, 1 / 3,
+]
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from(SPECIAL),
+)
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(phi=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=finite))
+def test_matrix_round_trip_property(tmp_path_factory, phi):
+    d = tmp_path_factory.mktemp("rt")
+    write_matrix(d / "a.csv", phi)
+    again = read_matrix(d / "a.csv")
+    assert _bitwise_equal(again, phi)
+    assert _bitwise_equal(again, ref_read_matrix(d / "a.csv"))
+    write_matrix(d / "b.csv", again)
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 12), elements=finite))
+def test_vector_round_trip_property(tmp_path_factory, v):
+    d = tmp_path_factory.mktemp("rt")
+    write_vector(d / "a.csv", v)
+    again = read_vector(d / "a.csv")
+    assert _bitwise_equal(again, v)
+    assert _bitwise_equal(again, ref_read_vector(d / "a.csv"))
+    write_vector(d / "b.csv", again)
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
+
+BAD_TOKENS = ["abc", "inf", "-inf", "nan", "", " ", "1e400", "1,5"]
+CORRUPTIONS = ["token", "drop_field", "extra_field", "drop_row", "extra_row", "none"]
+
+
+def _corrupt(lines, kind, row, field, token):
+    """Apply one corruption to data line ``row`` (``lines`` excludes the header)."""
+    lines = list(lines)
+    fields = lines[row].split(",")
+    field %= len(fields)
+    if kind == "token":
+        fields[field] = token
+    elif kind == "drop_field":
+        del fields[field]
+    elif kind == "extra_field":
+        fields.insert(field, fields[field])
+    elif kind == "drop_row":
+        del lines[row]
+        return lines
+    elif kind == "extra_row":
+        lines.insert(row, lines[row])
+        return lines
+    lines[row] = ",".join(fields)
+    return lines
+
+
+corruption = st.tuples(
+    st.sampled_from(CORRUPTIONS),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from(BAD_TOKENS),
+    st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["", "  ", "\t"])), max_size=3),
+)
+
+
+def _write_corrupted(path, header, data, corrupt):
+    kind, row, field, token, blanks = corrupt
+    lines = _corrupt(data, kind, row % len(data), field, token)
+    for at, blank in blanks:
+        lines.insert(at % (len(lines) + 1), blank)
+    path.write_text("\n".join([header] + lines) + "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=finite),
+       corrupt=corruption)
+def test_matrix_errors_match_reference(tmp_path_factory, phi, corrupt):
+    path = tmp_path_factory.mktemp("bad") / "phi.csv"
+    write_matrix(path, phi)
+    header, *data = path.read_text().splitlines()
+    _write_corrupted(path, header, data, corrupt)
+    assert _outcome(read_matrix, path) == _outcome(ref_read_matrix, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 6), elements=finite), corrupt=corruption)
+def test_vector_errors_match_reference(tmp_path_factory, v, corrupt):
+    path = tmp_path_factory.mktemp("bad") / "v.csv"
+    write_vector(path, v)
+    header, *data = path.read_text().splitlines()
+    _write_corrupted(path, header, data, corrupt)
+    assert _outcome(read_vector, path) == _outcome(ref_read_vector, path)
