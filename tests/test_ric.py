@@ -1,14 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import base_frame
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pursuitlab import (
     EnumerationBudgetError,
+    RicEstimate,
     exact_ric,
     rip_sandwich_check,
     sampled_ric_lower_bound,
+    spectral_norm_symmetric,
 )
+from pursuitlab.fileio import ric_payload
+from pursuitlab.ric import _lexicographic_supports
 from pursuitlab.seeding import derive_seed
 
 
@@ -32,6 +40,158 @@ def two_by_two_scan(phi):
             mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
             best = max(best, abs(mean + radius), abs(mean - radius))
     return best
+
+
+def reference_exact_ric(phi, s):
+    """The unscreened exhaustive scan: every support solved, in
+    lexicographic chunks of 4096, first-index argmax, strict improvement."""
+    gram = phi.T @ phi
+    best = -np.inf
+    witness = tuple(range(s))
+    combo_iter = itertools.combinations(range(phi.shape[1]), s)
+    while True:
+        chunk = list(itertools.islice(combo_iter, 4096))
+        if not chunk:
+            break
+        combos = np.asarray(chunk, dtype=np.intp)
+        blocks = gram[combos[:, :, None], combos[:, None, :]] - np.eye(s)
+        values = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best = float(values[i])
+            witness = chunk[i]
+    return best, witness
+
+
+def reference_sampled(phi, s, trials, seed):
+    """The per-trial sampled bound: one symmetric eigen-solve per trial."""
+    gram = phi.T @ phi
+    n = phi.shape[1]
+    best = -np.inf
+    witness = tuple(range(s))
+    for trial in range(trials):
+        g = np.random.Generator(np.random.PCG64(derive_seed(seed, trial)))
+        support = tuple(int(i) for i in np.sort(g.choice(n, size=s, replace=False)))
+        value = spectral_norm_symmetric(gram[np.ix_(support, support)] - np.eye(s))
+        if value > best:
+            best = value
+            witness = support
+    return best, witness
+
+
+def assert_matches_reference(est, reference):
+    value, witness = reference
+    assert np.float64(est.value).tobytes() == np.float64(value).tobytes()
+    assert est.witness.indices == witness
+
+
+MATRIX_KINDS = ["gaussian", "ties", "rank-one", "huge-columns", "tiny-columns", "tiny-deviation"]
+
+
+def screening_matrix(kind, m, n, seed):
+    """Matrices that stress the screen: exact ties (duplicated and rescaled
+    columns), rank-one deviations whose bound equals the norm up to rounding,
+    bounds that overflow (columns scaled by 1e120), near-zero columns
+    (scaled by 1e-120), and deviations of 1e-45 .. 1e-120 whose bound sums
+    underflow."""
+    g = rng(seed)
+    if kind == "rank-one":
+        # G - I = a^2 w w^T.
+        return np.vstack([np.eye(n), g.uniform(0.05, 2.0) * g.choice([-1.0, 1.0, 2.0], size=n)])
+    if kind == "tiny-deviation":
+        phi = np.eye(max(m, n))[:, :n]
+        return phi + g.choice([1e-45, 1e-85, 1e-120]) * g.normal(size=phi.shape)
+    phi = g.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
+    if kind == "ties":
+        for j in range(1, n):
+            if g.uniform() < 0.5:
+                phi[:, j] = g.choice([-2.0, -1.0, 0.5, 1.0]) * phi[:, g.integers(j)]
+    elif kind in ("huge-columns", "tiny-columns"):
+        scale = 1e120 if kind == "huge-columns" else 1e-120
+        scaled = g.uniform(size=n) < 0.5
+        scaled[g.integers(n)] = True
+        phi[:, scaled] *= scale
+    return phi
+
+
+@st.composite
+def columns_and_order(draw, max_columns):
+    n = draw(st.integers(1, max_columns))
+    return n, draw(st.integers(1, n))
+
+
+class TestScreenedEnumeration:
+    """exact_ric screens supports by a norm bound; these compare it bit for
+    bit with the unscreened scan."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(MATRIX_KINDS),
+        m=st.integers(1, 30),
+        shape=columns_and_order(14),
+        seed=st.integers(0, 2**16),
+    )
+    # Found by search: without the relative slack (first example), without
+    # the absolute floor (second) or with a floor of 1e-60 (third), the
+    # screen drops the first maximizer and another witness is reported.
+    @example(kind="rank-one", m=13, shape=(11, 6), seed=50900)
+    @example(kind="tiny-deviation", m=9, shape=(13, 4), seed=26817)
+    @example(kind="tiny-deviation", m=11, shape=(13, 8), seed=33390)
+    def test_matches_unscreened_scan(self, kind, m, shape, seed):
+        n, s = shape
+        phi = screening_matrix(kind, m, n, seed)
+        est = exact_ric(phi, s)
+        assert_matches_reference(est, reference_exact_ric(phi, s))
+        assert est.supports_examined == math.comb(n, s)
+        assert 1 <= est.blocks_evaluated <= est.supports_examined
+
+    @pytest.mark.parametrize("m,seed", [(14, 5), (400, 1)])
+    def test_late_maximizer(self, m, seed):
+        # Lexicographic ranks 120334 and 118570 of 125970: the witness sits
+        # in one of the last chunks, after the incumbent has risen.
+        phi = gaussian(seed, m, 20)
+        est = exact_ric(phi, 8)
+        assert_matches_reference(est, reference_exact_ric(phi, 8))
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_all_ties_hadamard_frame(self, s):
+        # Every size-s block of the base frame has the same spectrum, so no
+        # bound falls below the incumbent and every support is solved.
+        phi = base_frame()
+        est = exact_ric(phi, s)
+        assert_matches_reference(est, reference_exact_ric(phi, s))
+        assert est.blocks_evaluated == math.comb(16, s)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_screen_prunes_most_supports(self, seed):
+        # With the first bound alone, seeds 7 and 10 solve 2.1% and 3.0%.
+        est = exact_ric(gaussian(seed, 400, 20), 8)
+        assert est.blocks_evaluated < 0.02 * math.comb(20, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=columns_and_order(12), rows=st.integers(1, 40))
+    def test_lexicographic_chunks(self, shape, rows):
+        n, s = shape
+        chunks = list(_lexicographic_supports(n, s, rows))
+        assert all(1 <= len(chunk) <= rows for chunk in chunks)
+        got = [tuple(int(i) for i in row) for chunk in chunks for row in chunk]
+        assert got == list(itertools.combinations(range(n), s))
+
+    def test_blocks_evaluated_stays_in_memory(self):
+        est = exact_ric(gaussian(1, 6, 8), 3)
+        assert "blocks_evaluated" not in ric_payload(est)
+        positional = RicEstimate(3, est.value, "exact", est.witness, 56)
+        assert positional.blocks_evaluated == 0
+
+
+@pytest.mark.parametrize("ric_call", [
+    lambda phi: exact_ric(phi, 3),
+    lambda phi: sampled_ric_lower_bound(phi, 3, trials=10, seed=0),
+], ids=["exact", "sampled"])
+def test_gram_overflow_is_rejected(ric_call):
+    phi = gaussian(0, 6, 8) * 1e200
+    with pytest.raises(ValueError, match="Gram matrix .* overflows"):
+        ric_call(phi)
 
 
 class TestExactRic:
@@ -109,6 +269,24 @@ class TestSampledLowerBound:
         expected = np.abs(np.linalg.eigvalsh(block.T @ block - np.eye(3))).max()
         assert low.value == pytest.approx(expected, abs=1e-14)
         assert low.witness.indices == tuple(int(i) for i in support)
+
+    @pytest.mark.parametrize("kind,n,s,trials,seed", [
+        ("gaussian", 16, 2, 500, 3),    # 120 distinct supports: repeated trials
+        ("gaussian", 20, 8, 1000, 2013),
+        ("gaussian", 200, 60, 150, 9),  # 9 trials per eigenvalue stack
+        ("twice", 16, 3, 300, 4),       # every column twice: distinct tied supports
+        ("equal", 100, 60, 150, 5),     # every block equal, over 17 stacks
+    ])
+    def test_batched_matches_per_trial_loop(self, kind, n, s, trials, seed):
+        if kind == "equal":
+            phi = np.vstack([np.eye(n), 0.3 * np.ones(n)])
+        elif kind == "twice":
+            phi = np.hstack([gaussian(seed, 12, n // 2)] * 2)
+        else:
+            phi = gaussian(seed, n // 2, n)
+        est = sampled_ric_lower_bound(phi, s, trials, seed)
+        assert_matches_reference(est, reference_sampled(phi, s, trials, seed))
+        assert est.blocks_evaluated == est.supports_examined == trials
 
     def test_deterministic_under_seed(self):
         phi = gaussian(14, 10, 14)
