@@ -3,9 +3,8 @@
 A config names an experiment kind, the algorithms, a grid of problem sizes
 (m, N, s, noise_sigma), trials per cell, and a master seed.  Each trial's
 instance seed is derived as ``derive_seed(master_seed, cell_index,
-trial_index)``, so any subset of the grid can run in any order (or in
-parallel, capped by the ``PURSUITLAB_THREADS`` environment variable) and
-still reproduce byte-identical output files.
+trial_index)``, so any subset of the grid can run in any order and still
+reproduce byte-identical output files.
 
 Kinds:
 
@@ -27,8 +26,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +39,6 @@ from .seeding import derive_seed
 from .signals import KINDS, make_instance
 
 EXPERIMENT_KINDS = ("phase-transition", "convergence", "audit", "bounds-table")
-
-THREADS_ENV = "PURSUITLAB_THREADS"
 
 CELL_COLUMNS = [
     "schema_version", "experiment", "cell_index", "algorithm",
@@ -156,17 +151,6 @@ def trials_path(output_path: str | Path) -> Path:
     return p.with_name(p.stem + ".trials" + p.suffix)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
 def _recover(algorithm: str, instance, stop: StoppingRule, with_truth: bool):
     # Ground truth forces a full trace with per-iteration error norms; only
     # convergence rows and audits read them.
@@ -272,22 +256,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         ci: tuple(a for a in config.algorithms if (ci, a) not in skipped)
         for ci in range(len(config.grid))
     }
-    tasks = [
-        (ci, ti)
+    by_task = {
+        (ci, ti): _run_trial(config, ci, ti, cell_algorithms[ci])
         for ci in range(len(config.grid))
         if cell_algorithms[ci]
         for ti in range(config.trials_per_cell)
-    ]
-
-    workers = _worker_count()
-    if workers > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda t: _run_trial(config, *t, cell_algorithms[t[0]]), tasks)
-            )
-    else:
-        results = [_run_trial(config, ci, ti, cell_algorithms[ci]) for ci, ti in tasks]
-    by_task = dict(zip(tasks, results))
+    }
 
     cell_rows: list[dict] = []
     detail_rows: list[dict] = []

@@ -54,11 +54,15 @@ def as_vector(a) -> np.ndarray:
 def columns_submatrix(phi: np.ndarray, t: SupportSet) -> np.ndarray:
     """Submatrix of the columns of ``phi`` indexed by ``t``, in ascending order."""
     phi = as_matrix(phi)
+    _check_columns(phi, t)
+    return phi[:, t.as_array()]
+
+
+def _check_columns(phi: np.ndarray, t: SupportSet) -> None:
     if len(t) and t.indices[-1] >= phi.shape[1]:
         raise ValueError(
             f"column index {t.indices[-1]} out of range for matrix with {phi.shape[1]} columns"
         )
-    return phi[:, t.as_array()]
 
 
 def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> np.ndarray:
@@ -77,17 +81,30 @@ def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> n
     y = as_vector(y)
     if y.shape[0] != phi.shape[0]:
         raise ValueError(f"measurement length {y.shape[0]} != matrix rows {phi.shape[0]}")
-    z = np.zeros(phi.shape[1])
-    if len(t) == 0:
-        return z
-    if len(t) > phi.shape[0]:
+    if len(t) <= phi.shape[0]:
+        _check_columns(phi, t)
+    z = _least_squares_core(phi, y, t.as_array())
+    if z is None:
         raise SingularSupportError(t)
-    block = columns_submatrix(phi, t)
-    q, r = np.linalg.qr(block, mode="reduced")
+    return z
+
+
+def _least_squares_core(phi: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
+    """``least_squares_on_support`` on checked inputs, or None if rank deficient.
+
+    ``phi`` and ``y`` must already be validated and ``idx`` must be a sorted,
+    duplicate-free ``intp`` array of column indices.
+    """
+    z = np.zeros(phi.shape[1])
+    if idx.size == 0:
+        return z
+    if idx.size > phi.shape[0]:
+        return None
+    q, r = np.linalg.qr(phi[:, idx], mode="reduced")
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() < RANK_TOLERANCE * diag.max():
-        raise SingularSupportError(t)
-    z[t.as_array()] = np.linalg.solve(r, q.T @ y)
+        return None
+    z[idx] = np.linalg.solve(r, q.T @ y)
     return z
 
 

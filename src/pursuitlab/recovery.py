@@ -22,6 +22,13 @@ and traces are identical to running every iteration, and
 ``RecoveryResult.stop_reason`` says which of ``residual``, ``cycle`` or
 ``cap`` ended the run.
 
+Inputs are validated once, at ``subspace_pursuit``/``cosamp``.  The loop
+then calls the kernels' private cores on the checked arrays, carries
+supports as sorted ``intp`` index arrays, and computes ``y - phi x`` once
+per iteration, for both the residual norm and the next correlation.
+``SupportSet``s are built only for the records, the result and a raised
+``SingularSupportError``.
+
 ``audit_iteration`` re-measures, on an instrumented run, every
 per-iteration inequality that is provable from a certified isometry
 constant; with a certified constant below the algorithm's threshold a
@@ -35,10 +42,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import COSAMP, SP, bounds_for
-from .linalg import SingularSupportError, as_matrix, as_vector, least_squares_on_support
+from .linalg import SingularSupportError, _least_squares_core, as_matrix, as_vector
 from .ric import RicEstimate
-from .signals import SparseInstance, best_s_term, restrict, top_k_magnitude
+from .signals import SparseInstance, _restrict_core, _top_k_core, best_s_term, restrict
 from .supports import SupportSet
+
+# The loop calls the private cores; the public kernels stay importable here
+# because perfbench/tracing.py wraps them at this import site.
+from .linalg import least_squares_on_support  # noqa: F401
+from .signals import top_k_magnitude  # noqa: F401
 
 TRACE_LEVELS = ("none", "norms", "full")
 
@@ -140,6 +152,10 @@ def merged_size(algorithm: str, s: int) -> int:
     return 2 * s if algorithm == SP else 3 * s
 
 
+def _support_set(idx: np.ndarray, n: int) -> SupportSet:
+    return SupportSet(tuple(idx.tolist()), n)
+
+
 def _run(
     algorithm: str,
     phi: np.ndarray,
@@ -176,7 +192,8 @@ def _run(
     keep_vectors = trace == "full"
 
     estimate = np.zeros(n)
-    support = SupportSet.empty(n)
+    residual = y - phi @ estimate
+    support = np.empty(0, dtype=np.intp)
     records: list[IterationRecord] = []
     # State after each iteration -> that iteration; insertion order makes
     # the i-th key the state after iteration i + 1.
@@ -185,36 +202,43 @@ def _run(
     threshold = stop.residual_threshold
 
     for it in range(1, stop.n_max + 1):
-        proxy = phi.T @ (y - phi @ estimate)
-        delta_support = top_k_magnitude(proxy, pick)
-        merged = support.union(delta_support)
-        try:
-            intermediate = least_squares_on_support(phi, y, merged)
-        except SingularSupportError as err:
-            raise SingularSupportError(err.support, iteration=it) from err
-        support = top_k_magnitude(intermediate, s)
+        delta = _top_k_core(phi.T @ residual, pick)
+        # Sorted union through a mask: np.union1d would import numpy.ma.
+        in_merged = np.zeros(n, dtype=bool)
+        in_merged[support] = True
+        in_merged[delta] = True
+        merged = np.flatnonzero(in_merged)
+        intermediate = _least_squares_core(phi, y, merged)
+        if intermediate is None:
+            raise SingularSupportError(_support_set(merged, n), iteration=it)
+        support = _top_k_core(intermediate, s)
         if algorithm == SP:
-            try:
-                estimate = least_squares_on_support(phi, y, support)
-            except SingularSupportError as err:
-                raise SingularSupportError(err.support, iteration=it) from err
+            estimate = _least_squares_core(phi, y, support)
+            if estimate is None:
+                raise SingularSupportError(_support_set(support, n), iteration=it)
         else:
-            estimate = restrict(intermediate, support)
-        residual_norm = float(np.linalg.norm(y - phi @ estimate))
+            estimate = _restrict_core(intermediate, support)
+        residual = y - phi @ estimate
+        residual_norm = float(np.linalg.norm(residual))
 
+        pruned = _support_set(support, n)
+        signal_error = tail_energy = None
+        if x_s is not None:
+            signal_error = float(np.linalg.norm(x_s - estimate))
+            tail = x_s.copy()
+            tail[support] = 0.0
+            tail_energy = float(np.linalg.norm(tail))
         records.append(
             IterationRecord(
                 n=it,
-                delta_support=delta_support,
-                merged_support=merged,
-                pruned_support=support,
+                delta_support=_support_set(delta, n),
+                merged_support=_support_set(merged, n),
+                pruned_support=pruned,
                 residual_norm=residual_norm,
                 intermediate=intermediate if keep_vectors else None,
                 estimate=estimate.copy() if keep_vectors else None,
-                signal_error=float(np.linalg.norm(x_s - estimate)) if x_s is not None else None,
-                tail_energy=float(np.linalg.norm(restrict(x_s, support.complement())))
-                if x_s is not None
-                else None,
+                signal_error=signal_error,
+                tail_energy=tail_energy,
             )
         )
         if residual_norm <= threshold:
@@ -223,7 +247,7 @@ def _run(
         # The next iteration is a pure function of this state.  If it equals
         # the state after iteration `first`, iteration k > it would repeat
         # iteration first + 1 + (k - first - 1) % period, so replay instead.
-        first = first_seen.setdefault((support.indices, estimate.tobytes()), it)
+        first = first_seen.setdefault((pruned.indices, estimate.tobytes()), it)
         if first != it:
             stop_reason = "cycle"
             period = it - first
@@ -233,13 +257,13 @@ def _run(
                 for k in range(it + 1, stop.n_max + 1)
             )
             indices, final = list(first_seen)[first - 1 + (stop.n_max - first) % period]
-            support = SupportSet(indices, n)
+            pruned = SupportSet(indices, n)
             estimate = np.frombuffer(final).copy()
             break
 
     return RecoveryResult(
         estimate=estimate,
-        support=support,
+        support=pruned,
         iterations=records,
         algorithm=algorithm,
         stop_reason=stop_reason,

@@ -69,20 +69,6 @@ def test_rows_are_deterministic(tmp_path):
     assert trials_path(tmp_path / "a.csv").exists()
 
 
-def test_threaded_equals_serial(tmp_path, monkeypatch):
-    cfg = ExperimentConfig.from_dict(
-        config_dict(output_path=str(tmp_path / "t.csv"), trials_per_cell=6)
-    )
-    serial_cells, serial_trials = run_experiment(cfg)
-    monkeypatch.setenv("PURSUITLAB_THREADS", "4")
-    threaded_cells, threaded_trials = run_experiment(cfg)
-    assert serial_cells == threaded_cells
-    assert serial_trials == threaded_trials
-    monkeypatch.setenv("PURSUITLAB_THREADS", "soon")
-    with pytest.raises(ValueError, match="PURSUITLAB_THREADS"):
-        run_experiment(cfg)
-
-
 def test_phase_transition_rates_sensible():
     cfg = ExperimentConfig.from_dict(
         config_dict(

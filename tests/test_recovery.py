@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pursuitlab.linalg
 import pursuitlab.recovery
+import pursuitlab.signals
 from pursuitlab import (
     IterationRecord,
     SingularSupportError,
@@ -25,6 +28,8 @@ from pursuitlab import (
     subspace_pursuit,
     top_k_magnitude,
 )
+from pursuitlab.linalg import _least_squares_core
+from pursuitlab.recovery import TRACE_LEVELS
 from conftest import base_frame, instance_for, perturbed_frame, sparse_signal
 
 ALGORITHMS = [("SP", subspace_pursuit), ("CoSaMP", cosamp)]
@@ -115,10 +120,12 @@ def test_trace_levels():
     assert all(r.signal_error is not None for r in with_truth.iterations)
 
 
-def reference_run(name, phi, y, s, stop, truth):
-    """The recovery loop without early exit: every one of n_max iterations runs."""
+def reference_run(name, phi, y, s, stop, truth, trace):
+    """The recovery loop without early exit, built from the public, validating
+    kernels: every one of n_max iterations runs."""
     n = phi.shape[1]
     x_s = best_s_term(truth, s)[1] if truth is not None else None
+    keep_vectors = x_s is not None or trace == "full"
     estimate, support, records = np.zeros(n), SupportSet.empty(n), []
     for it in range(1, stop.n_max + 1):
         delta_support = top_k_magnitude(phi.T @ (y - phi @ estimate), s if name == "SP" else 2 * s)
@@ -130,13 +137,13 @@ def reference_run(name, phi, y, s, stop, truth):
         else:
             estimate = restrict(intermediate, support)
         residual = float(np.linalg.norm(y - phi @ estimate))
-        full = x_s is not None
+        truth_known = x_s is not None
         records.append(IterationRecord(
             it, delta_support, merged, support, residual,
-            intermediate if full else None,
-            estimate.copy() if full else None,
-            float(np.linalg.norm(x_s - estimate)) if full else None,
-            float(np.linalg.norm(restrict(x_s, support.complement()))) if full else None,
+            intermediate if keep_vectors else None,
+            estimate.copy() if keep_vectors else None,
+            float(np.linalg.norm(x_s - estimate)) if truth_known else None,
+            float(np.linalg.norm(restrict(x_s, support.complement()))) if truth_known else None,
         ))
         if residual <= stop.residual_threshold:
             return estimate, support, records, True
@@ -149,26 +156,35 @@ def _bitwise_equal(a, b):
     return a == b
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(["SP", "CoSaMP"]),
-    m=st.integers(12, 16),
+    # Failing runs that cycle below m=17, converging runs above.
+    m=st.one_of(st.integers(12, 16), st.integers(17, 48)),
     sigma=st.sampled_from([0.0, 1e-3]),
     seed=st.integers(0, 2**16),
     n_max=st.integers(1, 40),
     with_truth=st.booleans(),
+    trace=st.sampled_from(TRACE_LEVELS),
 )
 # Cycles of period 2, 3 and 5 whose replay ends mid-cycle.
-@example(name="SP", m=12, sigma=0.0, seed=98, n_max=7, with_truth=True)
-@example(name="CoSaMP", m=14, sigma=0.0, seed=68, n_max=11, with_truth=False)
-@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=40, with_truth=True)
-def test_cycle_replay_matches_full_run(name, m, sigma, seed, n_max, with_truth):
+@example(name="SP", m=12, sigma=0.0, seed=98, n_max=7, with_truth=True, trace="norms")
+@example(name="CoSaMP", m=14, sigma=0.0, seed=68, n_max=11, with_truth=False, trace="full")
+@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=40, with_truth=True, trace="norms")
+# The converging regime of the benchmark's sweeps.
+@example(name="SP", m=40, sigma=0.0, seed=40, n_max=40, with_truth=False, trace="full")
+@example(name="CoSaMP", m=40, sigma=1e-3, seed=41, n_max=40, with_truth=True, trace="norms")
+@example(name="SP", m=48, sigma=1e-3, seed=48, n_max=40, with_truth=True, trace="none")
+@example(name="CoSaMP", m=48, sigma=0.0, seed=49, n_max=40, with_truth=False, trace="full")
+def test_cycle_replay_matches_full_run(name, m, sigma, seed, n_max, with_truth, trace):
     inst = make_instance("exact-sparse", m, 64, 4, sigma, seed)
     stop = StoppingRule(n_max=n_max, e_prime_norm_hint=inst.e_prime_norm)
     truth = inst.x if with_truth else None
     run = subspace_pursuit if name == "SP" else cosamp
-    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth)
-    estimate, support, records, converged = reference_run(name, inst.phi, inst.y, 4, stop, truth)
+    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth, trace=trace)
+    estimate, support, records, converged = reference_run(
+        name, inst.phi, inst.y, 4, stop, truth, trace
+    )
     assert result.estimate.tobytes() == estimate.tobytes()
     assert result.support == support
     assert result.converged == converged
@@ -189,9 +205,9 @@ def test_cycle_stops_the_work(name, run, m, solves_per_iteration, monkeypatch):
 
     def counted(*args):
         solves.append(None)
-        return least_squares_on_support(*args)
+        return _least_squares_core(*args)
 
-    monkeypatch.setattr(pursuitlab.recovery, "least_squares_on_support", counted)
+    monkeypatch.setattr(pursuitlab.recovery, "_least_squares_core", counted)
     stop = StoppingRule()
     failing = None
     for seed in range(200):
@@ -204,7 +220,7 @@ def test_cycle_stops_the_work(name, run, m, solves_per_iteration, monkeypatch):
         failing = inst
         assert result.stop_reason == "cycle"
         assert len(result.iterations) == stop.n_max
-        assert len(solves) / solves_per_iteration < stop.n_max / 3
+        assert 0 < len(solves) / solves_per_iteration < stop.n_max / 3
     assert failing is not None
     capped = run(failing.phi, failing.y, 4, stop=StoppingRule(n_max=1))
     assert capped.stop_reason == "cap" and not capped.converged
@@ -238,7 +254,8 @@ def test_preconditions():
         StoppingRule(n_max=0)
 
 
-def test_singular_support_carries_iteration():
+@pytest.mark.parametrize("name,run", ALGORITHMS)
+def test_singular_support_carries_iteration(name, run):
     # Two identical dominant columns force a rank-deficient merged block in
     # the first iteration.
     phi = 0.01 * rng(5).normal(size=(6, 8))
@@ -246,9 +263,51 @@ def test_singular_support_carries_iteration():
     phi[:, 5] = phi[:, 2]
     y = phi[:, 2].copy()
     with pytest.raises(SingularSupportError) as err:
-        subspace_pursuit(phi, y, 2)
+        run(phi, y, 2)
     assert err.value.iteration == 1
     assert 2 in err.value.support and 5 in err.value.support
+    # The first merged support is the first identification step alone.
+    assert err.value.support == top_k_magnitude(phi.T @ y, 2 if name == "SP" else 4)
+
+
+@pytest.mark.parametrize("name,run", ALGORITHMS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(name, run, bad):
+    inst = make_instance("exact-sparse", 16, 32, 3, 0.0, 2)
+    phi = inst.phi.copy()
+    phi[3, 5] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        run(phi, inst.y, 3)
+    y = inst.y.copy()
+    y[2] = bad
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        run(inst.phi, y, 3)
+    truth = inst.x.copy()
+    truth[7] = bad
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        run(inst.phi, inst.y, 3, truth=truth)
+
+
+@pytest.mark.parametrize("name,run,m,seed", [
+    ("SP", subspace_pursuit, 12, 3),
+    ("CoSaMP", cosamp, 14, 1),
+])
+def test_inputs_validated_once_per_run(name, run, m, seed, monkeypatch):
+    # Seeds picked so that no state repeats within five iterations: all of
+    # them are computed, and the run stops at the cap.
+    inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
+    calls = Counter()
+    for module in (pursuitlab.linalg, pursuitlab.signals, pursuitlab.recovery):
+        for check in ("as_matrix", "as_vector"):
+            if hasattr(module, check):
+                def counted(a, _check=check, _original=getattr(module, check)):
+                    calls[_check] += 1
+                    return _original(a)
+
+                monkeypatch.setattr(module, check, counted)
+    result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=5))
+    assert result.stop_reason == "cap" and len(result.iterations) == 5
+    assert calls == {"as_matrix": 1, "as_vector": 1}
 
 
 def test_residuals_logged_not_asserted_monotone():
