@@ -36,7 +36,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -46,7 +46,7 @@ def as_vector(a) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -81,29 +81,18 @@ def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> n
     y = as_vector(y)
     if y.shape[0] != phi.shape[0]:
         raise ValueError(f"measurement length {y.shape[0]} != matrix rows {phi.shape[0]}")
-    if len(t) <= phi.shape[0]:
-        _check_columns(phi, t)
-    z = _least_squares_core(phi, y, t.as_array())
-    if z is None:
-        raise SingularSupportError(t)
-    return z
-
-
-def _least_squares_core(phi: np.ndarray, y: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
-    """``least_squares_on_support`` on checked inputs, or None if rank deficient.
-
-    ``phi`` and ``y`` must already be validated and ``idx`` must be a sorted,
-    duplicate-free ``intp`` array of column indices.
-    """
     z = np.zeros(phi.shape[1])
-    if idx.size == 0:
+    if len(t) == 0:
         return z
-    if idx.size > phi.shape[0]:
-        return None
+    if len(t) > phi.shape[0]:
+        raise SingularSupportError(t)
+    # phi is checked above; columns_submatrix would check it again.
+    _check_columns(phi, t)
+    idx = t.as_array()
     q, r = np.linalg.qr(phi[:, idx], mode="reduced")
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() < RANK_TOLERANCE * diag.max():
-        return None
+        raise SingularSupportError(t)
     z[idx] = np.linalg.solve(r, q.T @ y)
     return z
 

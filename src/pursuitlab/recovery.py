@@ -22,12 +22,13 @@ and traces are identical to running every iteration, and
 ``RecoveryResult.stop_reason`` says which of ``residual``, ``cycle`` or
 ``cap`` ended the run.
 
-Inputs are validated once, at ``subspace_pursuit``/``cosamp``.  The loop
-then calls the kernels' private cores on the checked arrays, carries
-supports as sorted ``intp`` index arrays, and computes ``y - phi x`` once
-per iteration, for both the residual norm and the next correlation.
-``SupportSet``s are built only for the records, the result and a raised
-``SingularSupportError``.
+``subspace_pursuit``/``cosamp`` validate their inputs before the first
+iteration.  Each iteration builds the merged support as a sorted union of
+index arrays, builds three ``SupportSet``s (the ones its record keeps), and
+computes ``y - phi x`` once, for both the residual norm and the next
+correlation.  The kernels are called through the names this module imports,
+where ``perfbench/tracing.py`` times them, so they check their arguments
+again on every call.
 
 ``audit_iteration`` re-measures, on an instrumented run, every
 per-iteration inequality that is provable from a certified isometry
@@ -42,15 +43,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import COSAMP, SP, bounds_for
-from .linalg import SingularSupportError, _least_squares_core, as_matrix, as_vector
+from .linalg import SingularSupportError, as_matrix, as_vector, least_squares_on_support
 from .ric import RicEstimate
-from .signals import SparseInstance, _restrict_core, _top_k_core, best_s_term, restrict
+from .signals import SparseInstance, best_s_term, restrict, top_k_magnitude
 from .supports import SupportSet
-
-# The loop calls the private cores; the public kernels stay importable here
-# because perfbench/tracing.py wraps them at this import site.
-from .linalg import least_squares_on_support  # noqa: F401
-from .signals import top_k_magnitude  # noqa: F401
 
 TRACE_LEVELS = ("none", "norms", "full")
 
@@ -152,10 +148,6 @@ def merged_size(algorithm: str, s: int) -> int:
     return 2 * s if algorithm == SP else 3 * s
 
 
-def _support_set(idx: np.ndarray, n: int) -> SupportSet:
-    return SupportSet(tuple(idx.tolist()), n)
-
-
 def _run(
     algorithm: str,
     phi: np.ndarray,
@@ -202,26 +194,28 @@ def _run(
     threshold = stop.residual_threshold
 
     for it in range(1, stop.n_max + 1):
-        delta = _top_k_core(phi.T @ residual, pick)
+        delta = top_k_magnitude(phi.T @ residual, pick)
         # Sorted union through a mask: np.union1d would import numpy.ma.
         in_merged = np.zeros(n, dtype=bool)
         in_merged[support] = True
-        in_merged[delta] = True
-        merged = np.flatnonzero(in_merged)
-        intermediate = _least_squares_core(phi, y, merged)
-        if intermediate is None:
-            raise SingularSupportError(_support_set(merged, n), iteration=it)
-        support = _top_k_core(intermediate, s)
+        in_merged[delta.as_array()] = True
+        merged = SupportSet.from_sorted(np.flatnonzero(in_merged), n)
+        try:
+            intermediate = least_squares_on_support(phi, y, merged)
+        except SingularSupportError as err:
+            raise SingularSupportError(err.support, iteration=it) from err
+        pruned = top_k_magnitude(intermediate, s)
+        support = pruned.as_array()
         if algorithm == SP:
-            estimate = _least_squares_core(phi, y, support)
-            if estimate is None:
-                raise SingularSupportError(_support_set(support, n), iteration=it)
+            try:
+                estimate = least_squares_on_support(phi, y, pruned)
+            except SingularSupportError as err:
+                raise SingularSupportError(err.support, iteration=it) from err
         else:
-            estimate = _restrict_core(intermediate, support)
+            estimate = restrict(intermediate, pruned)
         residual = y - phi @ estimate
         residual_norm = float(np.linalg.norm(residual))
 
-        pruned = _support_set(support, n)
         signal_error = tail_energy = None
         if x_s is not None:
             signal_error = float(np.linalg.norm(x_s - estimate))
@@ -231,8 +225,8 @@ def _run(
         records.append(
             IterationRecord(
                 n=it,
-                delta_support=_support_set(delta, n),
-                merged_support=_support_set(merged, n),
+                delta_support=delta,
+                merged_support=merged,
                 pruned_support=pruned,
                 residual_norm=residual_norm,
                 intermediate=intermediate if keep_vectors else None,

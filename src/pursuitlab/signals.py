@@ -52,12 +52,8 @@ def restrict(x: np.ndarray, t: SupportSet) -> np.ndarray:
     x = as_vector(x)
     if t.universe != x.shape[0]:
         raise ValueError(f"support universe {t.universe} != vector dim {x.shape[0]}")
-    return _restrict_core(x, t.as_array())
-
-
-def _restrict_core(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``restrict`` on a checked vector and an ``intp`` index array."""
     out = np.zeros_like(x)
+    idx = t.as_array()
     out[idx] = x[idx]
     return out
 
@@ -71,13 +67,9 @@ def top_k_magnitude(x: np.ndarray, k: int) -> SupportSet:
     x = as_vector(x)
     if k < 0 or k > x.shape[0]:
         raise ValueError(f"k={k} out of range for vector of dim {x.shape[0]}")
-    return SupportSet(tuple(_top_k_core(x, k).tolist()), x.shape[0])
-
-
-def _top_k_core(x: np.ndarray, k: int) -> np.ndarray:
-    """``top_k_magnitude`` on a checked vector, as a sorted ``intp`` array."""
     # Stable sort on -|x| keeps ascending index order within tied magnitudes.
-    return np.sort(np.argsort(-np.abs(x), kind="stable")[:k])
+    order = np.argsort(-np.abs(x), kind="stable")
+    return SupportSet.from_sorted(np.sort(order[:k]), x.shape[0])
 
 
 def best_s_term(x: np.ndarray, s: int) -> tuple[SupportSet, np.ndarray]:

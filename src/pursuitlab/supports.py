@@ -41,6 +41,11 @@ class SupportSet:
         return cls(tuple(ids), universe)
 
     @classmethod
+    def from_sorted(cls, indices: np.ndarray, universe: int) -> "SupportSet":
+        """Build a support from an ascending, duplicate-free integer array."""
+        return cls(tuple(indices.tolist()), universe)
+
+    @classmethod
     def empty(cls, universe: int) -> "SupportSet":
         return cls((), universe)
 
