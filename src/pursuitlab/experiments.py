@@ -108,11 +108,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {alg!r}; expected {SP!r} or {COSAMP!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.success_threshold <= 0:
-            raise ValueError("success_threshold must be positive")
+        if not (math.isfinite(self.success_threshold) and self.success_threshold > 0):
+            raise ValueError("success_threshold must be positive and finite")
         for cell in self.grid:
             if not (1 <= cell.s <= cell.m <= cell.n):
                 raise ValueError(f"bad grid cell {cell}: need 1 <= s <= m <= N")
+            if not (math.isfinite(cell.noise_sigma) and cell.noise_sigma >= 0):
+                raise ValueError(f"bad grid cell {cell}: noise_sigma must be finite and >= 0")
             for alg in self.algorithms:
                 need = merged_size(alg, cell.s)
                 if need > cell.m:

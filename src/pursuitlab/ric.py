@@ -10,21 +10,25 @@ suffices: any smaller block is a principal submatrix of a size-s block,
 whose deviation dominates).  ``sampled_ric_lower_bound`` scans a random
 subset of supports and therefore never exceeds the exact value.
 
-The exhaustive scan screens supports before it solves them.  For the
-symmetric deviation block A = G[S, S] - I with eigenvalues lambda_i,
+The exhaustive certification walks a tree of supports instead of listing
+them.  A node is a prefix P together with the columns R = {a, ..., N-1}
+after it; its subtree holds every support P + Q with Q drawn from R.  Each
+such block is a principal submatrix of the node block on T = P + R, so by
+Cauchy interlacing its deviation is at most || G_T - I ||_2.  That norm is
+bounded from above by || A^(2^k) ||_F^(1/2^k) for A = G_T - I, a few
+matrix products, and a subtree whose bound is below the best value already
+solved (the incumbent) is skipped whole.  The incumbent starts from
+supports grown greedily from every column, so most of the tree is skipped
+before the first leaf is reached.
 
-    || A @ A ||_F^(1/2) = (sum_i lambda_i^4)^(1/4) >= max_i |lambda_i| = || A ||_2,
-
-so b(S) = || A @ A ||_F^(1/2) bounds the deviation from above at the cost
-of one small matrix product.  Squaring once more gives the tighter
-|| A^4 ||_F^(1/4) = (sum_i lambda_i^8)^(1/8), used on the few supports the
-first bound cannot exclude.  A
-support whose bound, widened by a rounding slack, is below the best value
-already solved cannot be the maximizer and is never handed to the
-eigensolver; every other support is solved exactly as an unscreened scan
-would solve it.  The screen therefore cannot change a reported value or
-witness (the argument is in ``exact_ric``); it only skips work, and
-``RicEstimate.blocks_evaluated`` counts the eigen-solves that remain.
+The supports left over reach a per-support screen, which bounds each
+deviation block by || A @ A ||_F^(1/2) = (sum_i lambda_i^4)^(1/4), and by
+|| A^4 ||_F^(1/4) where that is not enough, and hands to the eigensolver
+only supports whose bound reaches the incumbent.  Every bound is widened
+by a rounding slack, so neither the tree nor the screen can change a
+reported value or witness (the argument is in ``exact_ric``); they only
+skip work.  ``RicEstimate.supports_screened`` counts the supports that
+reached the screen and ``RicEstimate.blocks_evaluated`` the eigen-solves.
 
 Values above 1 are reported as-is: they simply mean the matrix has no
 restricted isometry at that order (some block is singular or worse).
@@ -48,12 +52,19 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 # Supports per chunk of the exhaustive scan and per eigenvalue stack of the
 # sampled bound: at most 4096, and at most 512 * 8 * 8 block entries (256 KB),
 # so that a chunk's blocks stay in cache while they are bounded and solved.
+# The same entry cap sizes the tree's node stacks, prefix batches and greedy
+# steps.
 _CHUNK = 4096
 _CHUNK_ENTRIES = 512 * 64
 
-# Supports of each chunk solved first, largest bound first, to raise the
-# incumbent before the rest of the chunk is screened against it.
-_SCREEN_TOP = 32
+# A tree node's bound squares its scaled block this many times, so it
+# overestimates ||A||_2 by a factor of at most t^(1/32) for t columns.
+_NODE_SQUARINGS = 4
+
+# A node is bounded only when screening its supports one by one would cost
+# more than this many times bounding its block (s^3 per support against
+# t^3 per node, the cost of one matrix product).
+_NODE_COST = 3.0
 
 # The screen keeps a support when b * (1 + _SCREEN_SLACK) + _SCREEN_FLOOR is
 # not below the incumbent.  The relative slack covers rounding in the bound
@@ -85,10 +96,13 @@ class RicEstimate:
     ``witness`` is a support attaining ``value``; for exact mode the witness
     is the lexicographically smallest maximizer.  ``supports_examined`` is
     the number of supports the value covers: C(N, s) for exact mode, where
-    every support is certified either by the screening bound or by an
-    eigen-solve, and the trial count for sampled mode.
-    ``blocks_evaluated`` is the number of eigen-solves actually run; it is
-    kept in memory only and is not part of any output file.
+    every support is certified by a tree node's bound, by the screening
+    bound or by an eigen-solve, and the trial count for sampled mode.
+    ``blocks_evaluated`` is the number of eigen-solves actually run and,
+    for exact mode, ``supports_screened`` the number of supports that
+    reached the per-support screen, that is, that no skipped subtree
+    covered; both are kept in memory only and are not part of any output
+    file.
     """
 
     s: int
@@ -97,6 +111,7 @@ class RicEstimate:
     witness: SupportSet
     supports_examined: int
     blocks_evaluated: int = 0
+    supports_screened: int = 0
 
     @property
     def rip_holds(self) -> bool:
@@ -123,75 +138,67 @@ def _chunk_rows(s: int) -> int:
     return max(1, min(_CHUNK, _CHUNK_ENTRIES // (s * s)))
 
 
-def _lexicographic_supports(n: int, s: int, rows: int):
-    """Every size-s subset of range(n), in lexicographic order, as (k, s)
-    ``intp`` arrays of at most ``rows`` supports.
-
-    Support c has lexicographic rank r exactly when the reflected indices
-    d_j = n - 1 - c_j (strictly decreasing) have combinatorial-number-system
-    value sum_j C(d_j, s - j) = C(n, s) - 1 - r, so each chunk is decoded
-    greedily from its ranks, one position at a time.
-    """
-    total = math.comb(n, s)
-    # C(d, t) for d < n, capped at ``total`` (every remainder is below it),
-    # so large orders cannot overflow int64 and each row stays sorted.
-    tables = [
-        np.array([min(math.comb(d, t), total) for d in range(n)], dtype=np.int64)
-        for t in range(s, 0, -1)
-    ]
-    for start in range(0, total, rows):
-        remainder = np.arange(total - 1 - start, max(total - 1 - start - rows, -1), -1)
-        combos = np.empty((remainder.size, s), dtype=np.intp)
-        for j, table in enumerate(tables):
-            d = np.searchsorted(table, remainder, side="right") - 1
-            remainder -= table[d]
-            combos[:, j] = n - 1 - d
-        yield combos
-
-
 def exact_ric(
     phi: np.ndarray,
     s: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> RicEstimate:
-    """Certify the order-s constant over every support, screening by a bound.
+    """Certify the order-s constant over every support, pruning by bounds.
 
-    Supports are visited in lexicographic chunks.  For each chunk the
-    deviation blocks A = G[S, S] - I are gathered once and bounded by
+    The incumbent, the best value solved so far, starts at the largest
+    deviation among the greedy seed supports (see ``_greedy_seeds``).
+    ``_surviving_leaves`` walks the tree of prefix nodes depth first and
+    in lexicographic order, skips every subtree whose widened node bound is
+    below the incumbent, and yields the remaining supports in lexicographic
+    chunks of at most ``_chunk_rows(s)``.  For each chunk the deviation
+    blocks A = G[S, S] - I are gathered once and bounded by
     b = ||A @ A||_F^(1/2) >= ||A||_2; where b does not already screen a
     support out, it is replaced by the smaller of b and ||A^4||_F^(1/4).
     A support is screened out when b * (1 + 1e-9) + 1e-30 is below the
-    incumbent, the best value solved so far.  The eigensolver runs first on
-    the kept supports among the chunk's 32 largest bounds, which raises the
-    incumbent, then on the kept supports among the rest.  Screened-out supports get -inf, never NaN.  The chunk's
-    first-index argmax then replaces the running maximum on strict
-    improvement only, so among exactly tied maximizers the reported witness
-    is the lexicographically smallest.
+    incumbent.  The kept supports are solved with ``eigvalsh``, except seed
+    supports, whose values are filled in, so no support is solved twice;
+    the incumbent then rises to the chunk's best.  Screened-out supports
+    get -inf, never NaN.  The chunk's first-index argmax replaces the
+    running maximum on strict improvement only, so among exactly tied
+    maximizers the reported witness is the lexicographically smallest.
 
     Value and witness equal those of an unscreened scan, bit for bit:
 
-    * The incumbent is always a solved value, so it never exceeds the final
-      maximum M, and a screened-out support has a widened bound below M.
-      The computed bound of a support with solved value M is not below M:
-      its exact bound dominates its exact norm, and the relative slack
-      exceeds the rounding in the products and sums of squares (at most
-      about s^3 eps relative) plus the eigensolver's backward error (about
-      s eps ||A||_2).  Those sums scale as ||A||_2^4 and ||A||_2^8, so they
-      stay in the normal range while ||A||_2 is above about 1e-38; the
-      absolute floor keeps every support when M is below 1e-30.  An
-      overflowing product gives an infinite or NaN bound: the screen keeps
-      NaN, and ``fmin`` falls back from an infinite or NaN refinement to b.
+    * The incumbent is always a solved value, a seed's or a chunk's, so it
+      never exceeds the final maximum M.
+    * A skipped subtree holds no maximizer.  Its widened node bound is
+      below the incumbent, hence below M, and it is at least the solved
+      value of every support in the subtree: by interlacing the exact node
+      norm dominates each support's exact norm; the relative slack
+      1e-9 + 16 t^3 eps exceeds the rounding of the node bound on t
+      columns (about t^(5/2) eps relative, see ``_node_bounds``) plus the
+      eigensolver's backward error (about s eps ||A||_2); the absolute
+      floor covers blocks whose deviation is below 1e-30.
+    * A screened-out support is no maximizer either.  Its widened bound is
+      below M, while the computed bound of a support with solved value M
+      is not: its exact bound dominates its exact norm, and the relative
+      slack exceeds the rounding in the products and sums of squares (at
+      most about s^3 eps relative) plus the eigensolver's error.  Those
+      sums scale as ||A||_2^4 and ||A||_2^8, so they stay in the normal
+      range while ||A||_2 is above about 1e-38; the floor keeps every
+      support when M is below 1e-30.  An overflowing product gives an
+      infinite or NaN bound: the screen keeps NaN, and ``fmin`` falls back
+      from an infinite or NaN refinement to b.
     * So every maximizer is solved, by the same ``eigvalsh`` on the same
-      block, and a batched ``eigvalsh`` solves each matrix on its own, so
-      its value is bitwise the unscreened one.  Supports screened out hold
-      -inf < M and cannot win an argmax.
-    * First-index argmax within a chunk plus strict improvement across
-      chunks then return the lexicographically smallest maximizer, exactly
-      as the unscreened scan does.
+      block (a seed's block is gathered the same way), and a batched
+      ``eigvalsh`` solves each matrix on its own, so its value is bitwise
+      the unscreened one.  Supports screened out hold -inf < M and cannot
+      win an argmax.
+    * The walk yields supports in lexicographic order, so first-index
+      argmax within a chunk plus strict improvement across chunks return
+      the lexicographically smallest maximizer, exactly as the unscreened
+      scan does.
 
-    Every support is certified, by the bound or by an eigen-solve, so
-    ``supports_examined`` is C(N, s); ``blocks_evaluated`` counts the
-    eigen-solves.
+    Every support is certified, by a node bound, by the screen or by an
+    eigen-solve, so ``supports_examined`` is C(N, s).
+    ``supports_screened`` counts the supports that reached the screen
+    (C(N, s) minus those in skipped subtrees) and ``blocks_evaluated`` the
+    eigen-solves, seeds included.
 
     Raises:
         EnumerationBudgetError: C(N, s) exceeds ``budget``.
@@ -205,31 +212,35 @@ def exact_ric(
     if total > budget:
         raise EnumerationBudgetError(total, budget)
 
-    flat_gram = _checked_gram(phi).ravel()
-    eye = np.eye(s)
+    # G - I in place: dev[S, S] equals G[S, S] - eye(s) bit for bit, so the
+    # node, seed and support blocks are all cut from one matrix.
+    dev = _checked_gram(phi)
+    dev[np.diag_indices(n)] -= 1.0
+    seeds, seed_values = _greedy_seeds(dev, s)
+    incumbent = float(seed_values.max(initial=-np.inf))
+    next_seed = 0
     best = -np.inf
     witness: tuple[int, ...] = tuple(range(s))
-    evaluated = 0
+    evaluated = len(seeds)
+    screened = 0
     widen = 1.0 + _SCREEN_SLACK + 16 * s**3 * np.finfo(float).eps
-    for combos in _lexicographic_supports(n, s, _chunk_rows(s)):
-        blocks = np.take(flat_gram, combos[:, :, None] * n + combos[:, None, :])
-        blocks -= eye
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares = blocks @ blocks
-            bounds = np.sqrt(np.sqrt(np.einsum("kij,kij->k", squares, squares)))
-            near = ~(bounds * widen + _SCREEN_FLOOR < best)
-            fourth = squares[near] @ squares[near]
-            bounds[near] = np.fmin(bounds[near], np.einsum("kij,kij->k", fourth, fourth) ** 0.125)
+    for combos in _surviving_leaves(dev, s, _chunk_rows(s), lambda: incumbent):
+        screened += len(combos)
+        blocks = _blocks(dev, combos)
+        kept = _screen(blocks, incumbent, widen)
         values = np.full(len(combos), -np.inf)
-        incumbent = best
-        order = np.argsort(-bounds)
-        for idx in (order[:_SCREEN_TOP], order[_SCREEN_TOP:]):
-            idx = idx[~(bounds[idx] * widen + _SCREEN_FLOOR < incumbent)]
-            if idx.size:
-                values[idx] = np.abs(np.linalg.eigvalsh(blocks[idx])).max(axis=1)
-                incumbent = max(incumbent, values[idx].max())
-                evaluated += idx.size
+        # Seeds are sorted, so those up to this chunk's last support are
+        # either in it or in a skipped subtree.
+        last = tuple(combos[-1].tolist())
+        while next_seed < len(seeds) and tuple(seeds[next_seed].tolist()) <= last:
+            values[(combos == seeds[next_seed]).all(axis=1)] = seed_values[next_seed]
+            next_seed += 1
+        solve = kept[values[kept] == -np.inf]
+        if solve.size:
+            values[solve] = np.abs(np.linalg.eigvalsh(blocks[solve])).max(axis=1)
+            evaluated += solve.size
         i = int(np.argmax(values))
+        incumbent = max(incumbent, float(values[i]))
         if values[i] > best:
             best = float(values[i])
             witness = tuple(int(j) for j in combos[i])
@@ -240,7 +251,176 @@ def exact_ric(
         witness=SupportSet(witness, n),
         supports_examined=total,
         blocks_evaluated=evaluated,
+        supports_screened=screened,
     )
+
+
+def _blocks(dev: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """The blocks dev[S, S], one per row S of ``supports``."""
+    n = len(dev)
+    return np.take(dev, supports[:, :, None] * n + supports[:, None, :])
+
+
+def _screen(blocks: np.ndarray, incumbent: float, widen: float) -> np.ndarray:
+    """Indices of the deviation blocks whose widened screening bound is not
+    below the incumbent (see ``exact_ric``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = blocks @ blocks
+        bounds = np.sqrt(np.sqrt(np.einsum("kij,kij->k", squares, squares)))
+        near = ~(bounds * widen + _SCREEN_FLOOR < incumbent)
+        squares = squares[near]
+        fourth = squares @ squares
+        bounds[near] = np.fmin(bounds[near], np.einsum("kij,kij->k", fourth, fourth) ** 0.125)
+    return np.flatnonzero(~(bounds * widen + _SCREEN_FLOOR < incumbent))
+
+
+def _greedy_seeds(dev: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Supports grown greedily from every column, with their solved values.
+
+    Each start column is extended s - 1 times by the column whose enlarged
+    deviation block A has the largest ||A @ A||_F, the screen's proxy.
+    Returns the distinct supports in lexicographic order and their
+    deviations, solved as ``exact_ric`` solves a support.  Orders 1 and 2
+    get no seeds: there the greedy would look at about as many blocks as
+    there are supports.
+    """
+    n = len(dev)
+    if s < 3:
+        return np.empty((0, s), dtype=np.intp), np.empty(0)
+    group = max(1, _CHUNK_ENTRIES // (n * s * s))
+    grown = []
+    for first in range(0, n, group):
+        supports = np.arange(first, min(first + group, n))[:, None]
+        for r in range(1, s):
+            k = len(supports)
+            cand = np.empty((k, n, r + 1), dtype=np.intp)
+            cand[:, :, :r] = supports[:, None, :]
+            cand[:, :, r] = np.arange(n)
+            blocks = _blocks(dev, cand.reshape(k * n, r + 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = blocks @ blocks
+                proxy = np.einsum("kij,kij->k", squares, squares).reshape(k, n)
+            np.put_along_axis(proxy, supports, -np.inf, axis=1)
+            supports = np.hstack([supports, np.argmax(proxy, axis=1)[:, None]])
+        grown.append(supports)
+    distinct = {tuple(row) for row in np.sort(np.concatenate(grown), axis=1).tolist()}
+    seeds = np.array(sorted(distinct), dtype=np.intp)
+    return seeds, np.abs(np.linalg.eigvalsh(_blocks(dev, seeds))).max(axis=1)
+
+
+def _node_bounds(dev: np.ndarray, prefixes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Widened upper bounds on ||G_T - I||_2 for the node blocks
+    T = P + {a, ..., N-1}, one per row P of ``prefixes`` and a of ``starts``.
+
+    ``dev`` is G - I.  The shorter blocks of a stack are padded with zero
+    rows and columns, which changes no bound.  Each block A is scaled to a
+    largest entry of 1, so ||A||_2 >= 1 and its powers can neither overflow
+    nor underflow, and squared k times; the bound is
+    scale * ||A^(2^k)||_F^(1/2^k).  Each squaring adds rounding of about
+    t^2 eps relative to ||A||_2^(2^j) (the product of t x t matrices, with
+    ||A||_F^2 <= t ||A||_2^2), errors at most double per squaring, and the
+    2^k-th root divides them back, so the computed bound falls short of an
+    upper bound by about t^(5/2) eps relative at most.  It is widened by
+    1 + 1e-9 + 16 t^3 eps and the absolute floor, like the screen's bound.
+    """
+    n = len(dev)
+    k, p = prefixes.shape
+    width = p + n - int(starts.min())
+    rows = max(1, _CHUNK_ENTRIES // (width * width))
+    if k > rows:
+        return np.concatenate(
+            [_node_bounds(dev, prefixes[i : i + rows], starts[i : i + rows]) for i in range(0, k, rows)]
+        )
+    tail = starts[:, None] + np.arange(width - p)
+    idx = np.empty((k, width), dtype=np.intp)
+    idx[:, :p] = prefixes
+    idx[:, p:] = np.minimum(tail, n - 1)
+    inside = np.ones((k, width), dtype=bool)
+    inside[:, p:] = tail < n
+    blocks = _blocks(dev, idx)
+    blocks *= inside[:, :, None] & inside[:, None, :]
+    flat = blocks.reshape(k, -1)
+    scale = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    scale[scale == 0] = 1.0
+    blocks /= scale[:, None, None]
+    spare = np.empty_like(blocks)
+    for _ in range(_NODE_SQUARINGS):
+        np.matmul(blocks, blocks, out=spare)
+        blocks, spare = spare, blocks
+    flat = blocks.reshape(k, -1)
+    bounds = scale * np.einsum("ki,ki->k", flat, flat) ** (0.5 ** (_NODE_SQUARINGS + 1))
+    t = p + n - starts
+    return bounds * (1.0 + _SCREEN_SLACK + 16.0 * t**3 * np.finfo(float).eps) + _SCREEN_FLOOR
+
+
+def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
+    """The size-s supports outside skipped subtrees, in lexicographic
+    order, as (k, s) ``intp`` arrays of at most ``rows`` supports.
+
+    ``dev`` is G - I and ``incumbent()`` the current incumbent, read each
+    time a node is tested.  A node (P, a) stands for the supports P + Q
+    with Q drawn from {a, ..., N-1}; its children are the nodes
+    (P + {j}, j + 1) for j from a up to N - (s - |P|).  Since a node with a
+    later start is a principal submatrix of one with an earlier start,
+    children j >= a' all lie under the node (P, a'), so for each prefix a
+    vectorised binary search finds a start a' whose node bound is below the
+    incumbent, and only the children before a' are kept.  Starts whose
+    subtree is too small to repay a node bound (``_NODE_COST``) are not
+    tested.  Prefixes are expanded a batch at a time, depth first, and at
+    depth s - 1 the kept children are the supports themselves.  The stack
+    holds the children of at most one batch per depth, so memory does not
+    grow with C(N, s).
+    """
+    n = len(dev)
+    # The last start worth testing at each depth p.
+    last_tested = []
+    for p in range(s):
+        worth = [
+            a
+            for a in range(n - s + p + 1)
+            if 1 < math.comb(n - a, s - p)
+            and math.comb(n - a, s - p) * s**3 >= _NODE_COST * (p + n - a) ** 3
+        ]
+        last_tested.append(max(worth, default=-1))
+    batch = max(1, _CHUNK_ENTRIES // (n * s))
+    pending: list[np.ndarray] = []
+    pending_rows = 0
+    stack = [(np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp))]
+    while stack:
+        prefixes, lo = stack.pop()
+        k, p = prefixes.shape
+        # Invariant: node (P, left) is kept, node (P, right) is skipped, or
+        # right is past the last start tested.  The node (P, lo) was kept
+        # one level up.
+        left = lo.copy()
+        right = np.full(k, last_tested[p] + 1)
+        while (active := np.flatnonzero(right - left > 1)).size:
+            mid = (left[active] + right[active]) // 2
+            skipped = _node_bounds(dev, prefixes[active], mid) < incumbent()
+            right[active[skipped]] = mid[skipped]
+            left[active[~skipped]] = mid[~skipped]
+        end = np.where(right <= last_tested[p], right, n - s + p + 1)
+        counts = end - lo
+        size = int(counts.sum())
+        children = np.empty((size, p + 1), dtype=np.intp)
+        children[:, :p] = np.repeat(prefixes, counts, axis=0)
+        children[:, p] = np.arange(size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        if p < s - 1:
+            for first in range((size - 1) // batch * batch, -1, -batch):
+                piece = children[first : first + batch]
+                stack.append((piece, piece[:, -1] + 1))
+            continue
+        pending.append(children)
+        pending_rows += size
+        if pending_rows >= rows:
+            leaves = np.concatenate(pending)
+            whole = pending_rows // rows * rows
+            for first in range(0, whole, rows):
+                yield leaves[first : first + rows]
+            pending = [leaves[whole:]]
+            pending_rows -= whole
+    if pending_rows:
+        yield np.concatenate(pending)
 
 
 def sampled_ric_lower_bound(

@@ -12,6 +12,7 @@ reproducible from (kind, m, N, s, noise_sigma, seed) on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ def make_instance(
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not (1 <= s <= m <= n):
         raise ValueError(f"need 1 <= s <= m <= N, got s={s}, m={m}, N={n}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     phi = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))

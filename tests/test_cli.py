@@ -40,6 +40,18 @@ def test_gen_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_gen_rejects_non_finite_sigma(tmp_path):
+    # NaN once slipped through as a noiseless instance with NaN in its meta JSON.
+    for sigma in ("nan", "inf"):
+        out = run_cli(
+            "gen", "--m", "10", "--N", "20", "-s", "2", "--sigma", sigma, "--seed", "3",
+            "--out", str(tmp_path / "fix"),
+        )
+        assert out.returncode == 1
+        assert "noise_sigma must be finite" in out.stderr
+        assert not list(tmp_path.iterdir())
+
+
 def test_recover_matches_library_bit_for_bit(fixture_files):
     tmp = fixture_files
     out_path = tmp / "rec.json"

@@ -51,6 +51,18 @@ def test_config_validation():
         ExperimentConfig.from_dict(
             config_dict(experiment="bounds-table", deltas=[], families=[])
         )
+    # A bad noise level fails when the config is built, naming its cell,
+    # not in the middle of a sweep (or, for NaN, silently as a noiseless run).
+    for sigma in (-1e-3, float("inf"), float("nan")):
+        grid = [
+            {"m": 12, "N": 24, "s": 2, "noise_sigma": 0.0},
+            {"m": 16, "N": 24, "s": 2, "noise_sigma": sigma},
+        ]
+        with pytest.raises(ValueError, match="m=16.*noise_sigma must be finite and >= 0"):
+            ExperimentConfig.from_dict(config_dict(grid=grid))
+    for threshold in (0.0, -1e-4, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="success_threshold must be positive and finite"):
+            ExperimentConfig.from_dict(config_dict(success_threshold=threshold))
 
 
 def test_rows_are_deterministic(tmp_path):

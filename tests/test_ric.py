@@ -16,7 +16,7 @@ from pursuitlab import (
     spectral_norm_symmetric,
 )
 from pursuitlab.fileio import ric_payload
-from pursuitlab.ric import _lexicographic_supports
+from pursuitlab.ric import _node_bounds, _surviving_leaves
 from pursuitlab.seeding import derive_seed
 
 
@@ -85,7 +85,10 @@ def assert_matches_reference(est, reference):
     assert est.witness.indices == witness
 
 
-MATRIX_KINDS = ["gaussian", "ties", "rank-one", "huge-columns", "tiny-columns", "tiny-deviation"]
+MATRIX_KINDS = [
+    "gaussian", "ties", "duplicates", "rank-one", "flat-rank-one",
+    "huge-columns", "tiny-columns", "tiny-deviation",
+]
 
 
 def screening_matrix(kind, m, n, seed):
@@ -93,11 +96,15 @@ def screening_matrix(kind, m, n, seed):
     columns), rank-one deviations whose bound equals the norm up to rounding,
     bounds that overflow (columns scaled by 1e120), near-zero columns
     (scaled by 1e-120), and deviations of 1e-45 .. 1e-120 whose bound sums
-    underflow."""
+    underflow.  Two kinds stress the tree: exact copies of columns, which
+    tie distinct supports bit for bit, and rank-one deviations with some
+    zero weights, whose node blocks have exactly the norm of a support
+    below them."""
     g = rng(seed)
-    if kind == "rank-one":
+    if kind in ("rank-one", "flat-rank-one"):
         # G - I = a^2 w w^T.
-        return np.vstack([np.eye(n), g.uniform(0.05, 2.0) * g.choice([-1.0, 1.0, 2.0], size=n)])
+        weights = [-1.0, 1.0, 2.0] if kind == "rank-one" else [-1.0, 0.0, 1.0, 2.0]
+        return np.vstack([np.eye(n), g.uniform(0.05, 2.0) * g.choice(weights, size=n)])
     if kind == "tiny-deviation":
         phi = np.eye(max(m, n))[:, :n]
         return phi + g.choice([1e-45, 1e-85, 1e-120]) * g.normal(size=phi.shape)
@@ -106,6 +113,10 @@ def screening_matrix(kind, m, n, seed):
         for j in range(1, n):
             if g.uniform() < 0.5:
                 phi[:, j] = g.choice([-2.0, -1.0, 0.5, 1.0]) * phi[:, g.integers(j)]
+    elif kind == "duplicates":
+        for j in range(1, n):
+            if g.uniform() < 0.5:
+                phi[:, j] = phi[:, g.integers(j)]
     elif kind in ("huge-columns", "tiny-columns"):
         scale = 1e120 if kind == "huge-columns" else 1e-120
         scaled = g.uniform(size=n) < 0.5
@@ -137,6 +148,18 @@ class TestScreenedEnumeration:
     @example(kind="rank-one", m=13, shape=(11, 6), seed=50900)
     @example(kind="tiny-deviation", m=9, shape=(13, 4), seed=26817)
     @example(kind="tiny-deviation", m=11, shape=(13, 8), seed=33390)
+    # Found by search: without the node bound's slack (first) or with the
+    # best seed taken as the running maximum (second), another value or
+    # witness is reported.
+    @example(kind="flat-rank-one", m=2, shape=(14, 5), seed=22)
+    @example(kind="duplicates", m=10, shape=(12, 4), seed=294)
+    # Trees 5 to 8 levels deep, where 55% to 91% of the supports lie in
+    # skipped subtrees.
+    @example(kind="gaussian", m=30, shape=(16, 8), seed=1)
+    @example(kind="gaussian", m=12, shape=(17, 6), seed=2)
+    @example(kind="ties", m=20, shape=(18, 5), seed=3)
+    @example(kind="rank-one", m=1, shape=(16, 6), seed=4)
+    @example(kind="huge-columns", m=25, shape=(17, 5), seed=5)
     def test_matches_unscreened_scan(self, kind, m, shape, seed):
         n, s = shape
         phi = screening_matrix(kind, m, n, seed)
@@ -144,6 +167,42 @@ class TestScreenedEnumeration:
         assert_matches_reference(est, reference_exact_ric(phi, s))
         assert est.supports_examined == math.comb(n, s)
         assert 1 <= est.blocks_evaluated <= est.supports_examined
+        assert 1 <= est.supports_screened <= est.supports_examined
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(MATRIX_KINDS),
+        m=st.integers(1, 30),
+        shape=columns_and_order(12),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_node_bound_covers_subtree(self, kind, m, shape, seed, data):
+        # The proof obligation of a skipped subtree: the widened bound of a
+        # node (P, {a, ..., N-1}) is at least the solved deviation of every
+        # support P + Q below it.  Several nodes go through one call, so the
+        # zero padding of the shorter blocks is exercised too.
+        n, s = shape
+        phi = screening_matrix(kind, m, n, seed)
+        dev = phi.T @ phi - np.eye(n)
+        p = data.draw(st.integers(0, s - 1))
+        nodes = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            support = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=s, max_size=s)))
+            a = data.draw(st.integers(support[p - 1] + 1 if p else 0, support[p]))
+            nodes.append((support[:p], a))
+        bounds = _node_bounds(
+            dev,
+            np.array([prefix for prefix, _ in nodes], dtype=np.intp).reshape(len(nodes), p),
+            np.array([a for _, a in nodes], dtype=np.intp),
+        )
+        for (prefix, a), bound in zip(nodes, bounds):
+            below = [
+                (*prefix, *rest) for rest in itertools.combinations(range(a, n), s - len(prefix))
+            ]
+            combos = np.array(below, dtype=np.intp)
+            blocks = dev[combos[:, :, None], combos[:, None, :]]
+            assert bound >= np.abs(np.linalg.eigvalsh(blocks)).max()
 
     @pytest.mark.parametrize("m,seed", [(14, 5), (400, 1)])
     def test_late_maximizer(self, m, seed):
@@ -168,11 +227,29 @@ class TestScreenedEnumeration:
         est = exact_ric(gaussian(seed, 400, 20), 8)
         assert est.blocks_evaluated < 0.02 * math.comb(20, 8)
 
+    def test_supports_screened_stays_in_memory(self):
+        est = exact_ric(gaussian(1, 6, 8), 3)
+        assert "supports_screened" not in ric_payload(est)
+        positional = RicEstimate(3, est.value, "exact", est.witness, 56, 7)
+        assert positional.supports_screened == 0
+
+    @pytest.mark.parametrize("m", [14, 400])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tree_prunes_most_supports(self, m, seed):
+        # The branch-and-bound is worth keeping only if, with the greedy
+        # incumbent, most supports lie in skipped subtrees.  Over seeds
+        # 0-29 the smallest share is 85% at m=14; at m=400 seeds 14 and 18
+        # fall to 78% and 75%.
+        est = exact_ric(gaussian(seed, m, 20), 8)
+        assert est.supports_screened <= 0.2 * math.comb(20, 8)
+
     @settings(max_examples=60, deadline=None)
     @given(shape=columns_and_order(12), rows=st.integers(1, 40))
     def test_lexicographic_chunks(self, shape, rows):
+        # With an incumbent of -inf no subtree is skipped, so the walk
+        # yields every support.
         n, s = shape
-        chunks = list(_lexicographic_supports(n, s, rows))
+        chunks = list(_surviving_leaves(np.zeros((n, n)), s, rows, lambda: -np.inf))
         assert all(1 <= len(chunk) <= rows for chunk in chunks)
         got = [tuple(int(i) for i in row) for chunk in chunks for row in chunk]
         assert got == list(itertools.combinations(range(n), s))

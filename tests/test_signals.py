@@ -119,7 +119,8 @@ class TestMakeInstance:
             make_instance("exact-sparse", 10, 8, 2, 0.0, 0)  # m > N
         with pytest.raises(ValueError):
             make_instance("exact-sparse", 4, 8, 5, 0.0, 0)  # s > m
-        with pytest.raises(ValueError):
-            make_instance("exact-sparse", 4, 8, 2, -0.1, 0)
+        for sigma in (-0.1, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+                make_instance("exact-sparse", 4, 8, 2, sigma, 0)
         with pytest.raises(ValueError):
             make_instance("dense", 4, 8, 2, 0.0, 0)
