@@ -17,8 +17,10 @@ are deterministic.
 Each iteration is a pure function of the state (support, estimate bytes)
 left by the previous one.  Once that state repeats bitwise the rest of the
 run is periodic and the residual criterion can no longer fire, so the loop
-stops computing and replays the cycle's records up to ``n_max``: results
-and traces are identical to running every iteration, and
+stops computing.  ``RecoveryResult.iterations`` is then a read-only
+sequence of length ``n_max`` over the computed records; a record past the
+first repeat is built from the cycle only when it is read.  Results and
+traces are identical to running every iteration, and
 ``RecoveryResult.stop_reason`` says which of ``residual``, ``cycle`` or
 ``cap`` ended the run.
 
@@ -38,6 +40,9 @@ reported violation means a bug, not bad luck.
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,7 +67,8 @@ class StoppingRule:
     If the perturbation norm ||e'|| is known, pass it as
     ``e_prime_norm_hint`` and the run stops once the residual drops to
     ``epsilon`` times it.  A hint of 0 means unknown; the absolute
-    fallback threshold ``epsilon_abs`` is used instead.
+    fallback threshold ``epsilon_abs`` is used instead.  The three
+    thresholds must be finite and >= 0, and ``n_max`` an integer >= 1.
     """
 
     epsilon: float = 1.0
@@ -71,10 +77,12 @@ class StoppingRule:
     epsilon_abs: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if min(self.epsilon, self.e_prime_norm_hint, self.epsilon_abs) < 0:
-            raise ValueError("stopping-rule fields must be >= 0")
+        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        for name in ("epsilon", "e_prime_norm_hint", "epsilon_abs"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def residual_threshold(self) -> float:
@@ -90,8 +98,9 @@ class IterationRecord:
     Vector fields are retained only in full-trace mode (automatic whenever
     ground truth is supplied); ``signal_error`` and ``tail_energy`` are the
     distances ||x_s - x^n|| and ||x_s outside the pruned support|| and are
-    present only with ground truth.  Records replayed from a cycle share
-    their arrays with the records they repeat.
+    present only with ground truth.  Records past the first repeat of a
+    cycling run are built when read from the record they repeat, and share
+    its arrays.
     """
 
     n: int
@@ -105,19 +114,59 @@ class IterationRecord:
     tail_energy: float | None = None
 
 
+class _CycleReplay(Sequence):
+    """Read-only records of a run whose state repeated after iteration
+    ``len(computed)``, matching the state after iteration ``first``.
+
+    Its length is ``n_max``.  The computed records are returned as they are;
+    the record of iteration k > len(computed) repeats iteration
+    first + 1 + (k - first - 1) % period and is built only when read, as a
+    copy of that record with ``n=k`` sharing its arrays.
+    """
+
+    __slots__ = ("_computed", "_first", "_period", "_length")
+
+    def __init__(self, computed: list[IterationRecord], first: int, n_max: int) -> None:
+        self._computed = computed
+        self._first = first
+        self._period = len(computed) - first
+        self._length = n_max
+
+    def __len__(self) -> int:
+        return self._length
+
+    def _replayed(self, k: int) -> IterationRecord:
+        # k is a 0-based position past the computed records.
+        return replace(self._computed[self._first + (k - self._first) % self._period], n=k + 1)
+
+    def __getitem__(self, index):
+        # Indexing a range resolves negative indices, bounds and slices.
+        k = range(self._length)[index]
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        return self._computed[k] if k < len(self._computed) else self._replayed(k)
+
+    def __iter__(self) -> Iterator[IterationRecord]:
+        yield from self._computed
+        for k in range(len(self._computed), self._length):
+            yield self._replayed(k)
+
+
 @dataclass(frozen=True)
 class RecoveryResult:
     """Final state of a run and its per-iteration records.
 
-    ``stop_reason`` is ``residual`` when the residual criterion fired,
-    ``cycle`` when the state repeated bitwise (the remaining records up to
-    ``n_max`` were replayed from the cycle) and ``cap`` when ``n_max`` was
-    reached first.  It is not part of any output file.
+    ``iterations`` is a read-only sequence with one record per iteration:
+    it supports ``len``, indexing, slicing and iteration.  ``stop_reason`` is
+    ``residual`` when the residual criterion fired, ``cycle`` when the state
+    repeated bitwise (``iterations`` still has ``n_max`` records, and those
+    past the first repeat are built from the cycle when read) and ``cap``
+    when ``n_max`` was reached first.  It is not part of any output file.
     """
 
     estimate: np.ndarray
     support: SupportSet
-    iterations: list[IterationRecord] = field(default_factory=list)
+    iterations: Sequence[IterationRecord] = field(default_factory=list)
     algorithm: str = SP
     stop_reason: str = "cap"
 
@@ -187,6 +236,7 @@ def _run(
     residual = y - phi @ estimate
     support = np.empty(0, dtype=np.intp)
     records: list[IterationRecord] = []
+    iterations: Sequence[IterationRecord] = records
     # State after each iteration -> that iteration; insertion order makes
     # the i-th key the state after iteration i + 1.
     first_seen: dict[tuple[tuple[int, ...], bytes], int] = {}
@@ -245,11 +295,7 @@ def _run(
         if first != it:
             stop_reason = "cycle"
             period = it - first
-            cycle = records[first:]
-            records.extend(
-                replace(cycle[(k - first - 1) % period], n=k)
-                for k in range(it + 1, stop.n_max + 1)
-            )
+            iterations = _CycleReplay(records, first, stop.n_max)
             indices, final = list(first_seen)[first - 1 + (stop.n_max - first) % period]
             pruned = SupportSet(indices, n)
             estimate = np.frombuffer(final).copy()
@@ -258,7 +304,7 @@ def _run(
     return RecoveryResult(
         estimate=estimate,
         support=pruned,
-        iterations=records,
+        iterations=iterations,
         algorithm=algorithm,
         stop_reason=stop_reason,
     )

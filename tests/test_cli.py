@@ -107,6 +107,26 @@ def test_recover_exit_codes(fixture_files, tmp_path):
     assert "line 3" in out.stderr
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--epsilon-abs", "nan"),  # once ran all 100 iterations
+    ("--epsilon-abs", "inf"),  # once "converged" after one iteration, exit 0
+    ("--epsilon", "nan"),
+    ("--e-prime-norm", "nan"),
+    ("--e-prime-norm", "inf"),
+])
+def test_recover_rejects_non_finite_stopping_rule(fixture_files, flag, value):
+    tmp = fixture_files
+    out_path = tmp / "rec.json"
+    out = run_cli(
+        "recover", "--matrix", str(tmp / "fix_phi.csv"),
+        "--measurements", str(tmp / "fix_y.csv"), "-s", "3",
+        flag, value, "--output", str(out_path),
+    )
+    assert out.returncode == 1
+    assert "must be finite and >= 0" in out.stderr
+    assert out.stdout == "" and not out_path.exists()
+
+
 def test_ric_matches_golden_fixture(tmp_path):
     out_path = tmp_path / "ric.json"
     out = run_cli(

@@ -191,6 +191,106 @@ def test_cycle_replay_matches_full_run(name, m, sigma, seed, n_max, with_truth, 
             assert _bitwise_equal(getattr(got, f.name), getattr(want, f.name)), (got.n, f.name)
 
 
+def _same_record(got, want):
+    for f in fields(IterationRecord):
+        assert _bitwise_equal(getattr(got, f.name), getattr(want, f.name)), (want.n, f.name)
+
+
+def _optional_ints(low, high):
+    return st.none() | st.integers(low, high)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["SP", "CoSaMP"]),
+    m=st.integers(12, 16),
+    sigma=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**16),
+    n_max=st.integers(1, 100),
+    with_truth=st.booleans(),
+    trace=st.sampled_from(TRACE_LEVELS),
+    # Wrapped into [-len, len) below.
+    indices=st.lists(st.integers(0, 2**16), max_size=12),
+    windows=st.lists(
+        st.tuples(_optional_ints(-120, 120), _optional_ints(-120, 120),
+                  st.none() | st.integers(-7, 7).filter(bool)),
+        min_size=1, max_size=3,
+    ),
+)
+# Cycles of period 2 (SP) and 5 (CoSaMP) replayed to the default cap.
+@example(name="SP", m=12, sigma=0.0, seed=98, n_max=100, with_truth=True, trace="none",
+         indices=[5, 150], windows=[(None, None, -3), (97, 3, -1)])
+@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=100, with_truth=False, trace="full",
+         indices=[12, 13, 199], windows=[(10, 90, 7), (-5, None, None)])
+def test_cycling_iterations_read_like_the_full_list(name, m, sigma, seed, n_max, with_truth,
+                                                    trace, indices, windows):
+    # len, indices, slices and iteration of result.iterations all match the
+    # list of a run that computes every iteration, field by field and bitwise.
+    inst = make_instance("exact-sparse", m, 64, 4, sigma, seed)
+    stop = StoppingRule(n_max=n_max, e_prime_norm_hint=inst.e_prime_norm)
+    truth = inst.x if with_truth else None
+    run = subspace_pursuit if name == "SP" else cosamp
+    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth, trace=trace)
+    records = reference_run(name, inst.phi, inst.y, 4, stop, truth, trace)[2]
+    view, count = result.iterations, len(records)
+    assert len(view) == count
+    for k in [i % (2 * count) - count for i in indices] + [0, -1, count // 2]:
+        _same_record(view[k], records[k])
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            view[index]
+    for window in (slice(*bounds) for bounds in windows):
+        got = view[window]
+        assert len(got) == len(records[window])
+        for rec, want in zip(got, records[window]):
+            _same_record(rec, want)
+    for rec, want in zip(view, records, strict=True):
+        _same_record(rec, want)
+    assert result.residual_history == [rec.residual_norm for rec in records]
+    # A replayed record shares its arrays with the computed record it repeats.
+    states = [(rec.pruned_support.indices, rec.estimate.tobytes())
+              for rec in records if rec.estimate is not None]
+    repeat = next((i for i in range(1, len(states)) if states[i] in states[:i]), None)
+    if repeat is not None:
+        first = states.index(states[repeat])
+        period = repeat - first
+        for k in range(repeat + 1, count):
+            source = view[first + 1 + (k - first - 1) % period]
+            assert view[k].estimate is source.estimate
+            assert view[k].intermediate is source.intermediate
+
+
+@pytest.mark.parametrize("name,run,m,seed", [
+    ("SP", subspace_pursuit, 12, 98),
+    ("CoSaMP", cosamp, 14, 172),
+])
+def test_cycle_builds_records_only_when_read(name, run, m, seed, monkeypatch):
+    built, selections = [], []
+    build = IterationRecord.__init__
+    select = pursuitlab.recovery.top_k_magnitude
+
+    def counted_build(self, *args, **kwargs):
+        built.append(None)
+        build(self, *args, **kwargs)
+
+    def counted_select(*args):
+        selections.append(None)
+        return select(*args)
+
+    monkeypatch.setattr(IterationRecord, "__init__", counted_build)
+    monkeypatch.setattr(pursuitlab.recovery, "top_k_magnitude", counted_select)
+    inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
+    result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=100), truth=inst.x)
+    computed = len(selections) // 2  # identification and pruning
+    assert result.stop_reason == "cycle" and len(result.iterations) == 100
+    assert len(built) <= computed < 100
+    before = len(built)
+    assert result.iterations[-1].n == 100
+    assert len(built) == before + 1
+    assert [rec.n for rec in result.iterations] == list(range(1, 101))
+    assert len(built) == before + 1 + 100 - computed
+
+
 @pytest.mark.parametrize("name,run,m,solves_per_iteration", [
     ("SP", subspace_pursuit, 12, 2),
     ("CoSaMP", cosamp, 14, 1),
@@ -249,6 +349,15 @@ def test_preconditions():
         subspace_pursuit(phi, y, 2, trace="verbose")
     with pytest.raises(ValueError):
         StoppingRule(n_max=0)
+    # NaN once ran every iteration and inf "converged" after one.
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("epsilon", "e_prime_norm_hint", "epsilon_abs"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+                StoppingRule(**{name: bad})
+    for bad in (2.5, 3.0, "7"):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+            StoppingRule(n_max=bad)
+    assert StoppingRule(n_max=np.int64(3)).n_max == 3
 
 
 @pytest.mark.parametrize("name,run", ALGORITHMS)
