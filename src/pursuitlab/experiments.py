@@ -18,7 +18,9 @@ Kinds:
   (no randomness; uses ``deltas`` and ``families`` instead of the grid).
 
 Aggregated rows go to ``output_path``; per-trial (or per-iteration, for
-``convergence``) rows go alongside it when ``per_trial`` is set.
+``convergence``) rows go alongside it when ``per_trial`` is set.  A cell
+with a trial whose perturbation norm overflows to inf is marked skipped,
+with its reason, for every algorithm and gets no per-trial rows.
 """
 
 from __future__ import annotations
@@ -171,6 +173,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class _SkippedCell(Exception):
+    """A trial of the cell cannot run; the message is the cell's skip reason."""
+
+
 def _run_trial(
     config: ExperimentConfig,
     cell_index: int,
@@ -180,7 +186,11 @@ def _run_trial(
     """All per-trial measurements for one (cell, trial): one dict per algorithm."""
     cell = config.grid[cell_index]
     seed = derive_seed(config.master_seed, cell_index, trial_index)
-    instance = make_instance(config.kind, cell.m, cell.n, cell.s, cell.noise_sigma, seed)
+    # An overflow is reported as a skipped cell, not as a numpy warning.
+    with np.errstate(over="ignore"):
+        instance = make_instance(config.kind, cell.m, cell.n, cell.s, cell.noise_sigma, seed)
+    if not math.isfinite(instance.e_prime_norm):
+        raise _SkippedCell(f"perturbation norm overflows (trial {trial_index})")
     stop = StoppingRule(e_prime_norm_hint=instance.e_prime_norm)
     x_norm = float(np.linalg.norm(instance.x))
     out: dict = {"seed": seed, "algorithms": {}}
@@ -258,12 +268,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         ci: tuple(a for a in config.algorithms if (ci, a) not in skipped)
         for ci in range(len(config.grid))
     }
-    by_task = {
-        (ci, ti): _run_trial(config, ci, ti, cell_algorithms[ci])
-        for ci in range(len(config.grid))
-        if cell_algorithms[ci]
-        for ti in range(config.trials_per_cell)
-    }
+    # A cell with a trial that cannot run is skipped whole, with no detail rows.
+    by_task = {}
+    for ci, algorithms in cell_algorithms.items():
+        if not algorithms:
+            continue
+        try:
+            for ti in range(config.trials_per_cell):
+                by_task[(ci, ti)] = _run_trial(config, ci, ti, algorithms)
+        except _SkippedCell as skip:
+            skipped.update({(ci, algorithm): str(skip) for algorithm in algorithms})
 
     cell_rows: list[dict] = []
     detail_rows: list[dict] = []

@@ -91,7 +91,8 @@ def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> n
     idx = t.as_array()
     q, r = np.linalg.qr(phi[:, idx], mode="reduced")
     diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() < RANK_TOLERANCE * diag.max():
+    largest = diag.max()
+    if largest == 0.0 or diag.min() < RANK_TOLERANCE * largest:
         raise SingularSupportError(t)
     z[idx] = np.linalg.solve(r, q.T @ y)
     return z

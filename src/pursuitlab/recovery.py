@@ -32,6 +32,17 @@ correlation.  The kernels are called through the names this module imports,
 where ``perfbench/tracing.py`` times them, so they check their arguments
 again on every call.
 
+A least-squares solve on the same support as the solve just before it is
+not repeated: the run keeps the last support it solved and that solution,
+and returns a copy of it.  The result is bitwise the one a second solve
+would give, because a solve is a pure function of (phi, y, support) and
+phi and y are fixed for the run; the support was solved once without a
+``SingularSupportError``, so it cannot raise one now.  This skips SP's
+second solve whenever pruning keeps the whole merged support (always in the
+first iteration, where the merged support is the s new candidates), the
+first solve at an SP fixed point whose candidates all lie in the support,
+and a CoSaMP merged support that repeats.
+
 ``audit_iteration`` re-measures, on an instrumented run, every
 per-iteration inequality that is provable from a certified isometry
 constant; with a certified constant below the algorithm's threshold a
@@ -121,7 +132,8 @@ class _CycleReplay(Sequence):
     Its length is ``n_max``.  The computed records are returned as they are;
     the record of iteration k > len(computed) repeats iteration
     first + 1 + (k - first - 1) % period and is built only when read, as a
-    copy of that record with ``n=k`` sharing its arrays.
+    copy of that record with ``n=k`` sharing its arrays.  ``residual_norms``
+    reads every iteration's residual from the computed records.
     """
 
     __slots__ = ("_computed", "_first", "_period", "_length")
@@ -135,9 +147,16 @@ class _CycleReplay(Sequence):
     def __len__(self) -> int:
         return self._length
 
+    def _source(self, k: int) -> IterationRecord:
+        # The computed record that 0-based position k repeats (itself if computed).
+        return self._computed[k if k < self._first else self._first + (k - self._first) % self._period]
+
     def _replayed(self, k: int) -> IterationRecord:
         # k is a 0-based position past the computed records.
-        return replace(self._computed[self._first + (k - self._first) % self._period], n=k + 1)
+        return replace(self._source(k), n=k + 1)
+
+    def residual_norms(self) -> list[float]:
+        return [self._source(k).residual_norm for k in range(self._length)]
 
     def __getitem__(self, index):
         # Indexing a range resolves negative indices, bounds and slices.
@@ -176,6 +195,8 @@ class RecoveryResult:
 
     @property
     def residual_history(self) -> list[float]:
+        if isinstance(self.iterations, _CycleReplay):
+            return self.iterations.residual_norms()
         return [rec.residual_norm for rec in self.iterations]
 
 
@@ -242,6 +263,22 @@ def _run(
     first_seen: dict[tuple[tuple[int, ...], bytes], int] = {}
     stop_reason = "cap"
     threshold = stop.residual_threshold
+    # The last support solved and its solution.  A solve depends only on
+    # (phi, y, support), so the same support again has the same solution.
+    solved_indices: tuple[int, ...] | None = None
+    solved: np.ndarray | None = None
+
+    def solve(t: SupportSet) -> np.ndarray:
+        nonlocal solved_indices, solved
+        if t.indices == solved_indices:
+            # A fresh array, as a solve returns: no record shares it.
+            return solved.copy()
+        try:
+            solved = least_squares_on_support(phi, y, t)
+        except SingularSupportError as err:
+            raise SingularSupportError(err.support, iteration=it) from err
+        solved_indices = t.indices
+        return solved
 
     for it in range(1, stop.n_max + 1):
         delta = top_k_magnitude(phi.T @ residual, pick)
@@ -250,17 +287,11 @@ def _run(
         in_merged[support] = True
         in_merged[delta.as_array()] = True
         merged = SupportSet.from_sorted(np.flatnonzero(in_merged), n)
-        try:
-            intermediate = least_squares_on_support(phi, y, merged)
-        except SingularSupportError as err:
-            raise SingularSupportError(err.support, iteration=it) from err
+        intermediate = solve(merged)
         pruned = top_k_magnitude(intermediate, s)
         support = pruned.as_array()
         if algorithm == SP:
-            try:
-                estimate = least_squares_on_support(phi, y, pruned)
-            except SingularSupportError as err:
-                raise SingularSupportError(err.support, iteration=it) from err
+            estimate = solve(pruned)
         else:
             estimate = restrict(intermediate, pruned)
         residual = y - phi @ estimate

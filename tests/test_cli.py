@@ -219,6 +219,16 @@ def test_experiment_cli_round_trip(tmp_path):
     out = run_cli("experiment", "--config", str(tmp_path / "missing.json"))
     assert out.returncode == 1
 
+    # A cell whose perturbation norm overflows is skipped, without a warning.
+    cfg["grid"].append({"m": 12, "N": 24, "s": 2, "noise_sigma": 1e300})
+    cfg_path.write_text(json.dumps(cfg))
+    out = run_cli("experiment", "--config", str(cfg_path), "--per-trial")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert "skipped 1 cell(s)" in out.stdout
+    assert (tmp_path / "res.csv").read_bytes().startswith(first)
+    assert (tmp_path / "res.trials.csv").read_bytes() == trials_first
+
 
 def test_stopping_flags_reach_library(fixture_files):
     tmp = fixture_files

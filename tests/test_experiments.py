@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,43 @@ def test_audit_mixed_feasibility_in_one_cell():
     assert not by_alg["SP"]["skipped"]
     assert by_alg["SP"]["audit_violations"] == 0
     assert by_alg["CoSaMP"]["skipped"]
+
+
+@pytest.mark.parametrize("experiment", ["phase-transition", "convergence"])
+def test_overflowing_cell_is_skipped(experiment, tmp_path):
+    # The middle cell's noise overflows ||e'||; it is skipped with a reason
+    # and no detail rows, and the other cells keep the rows they have when
+    # it is noiseless, since seeds depend only on (master, cell, trial).
+    def grid(sigma):
+        return [
+            {"m": 40, "N": 64, "s": 4, "noise_sigma": 1e-3},
+            {"m": 40, "N": 64, "s": 4, "noise_sigma": sigma},
+            {"m": 48, "N": 64, "s": 4, "noise_sigma": 0.0},
+        ]
+
+    outputs = {}
+    for sigma in (1e300, 0.0):
+        cfg = ExperimentConfig.from_dict(config_dict(
+            experiment=experiment, algorithms=["SP", "CoSaMP"], grid=grid(sigma),
+            trials_per_cell=3, per_trial=True, output_path=str(tmp_path / f"{sigma}.csv"),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells, details = run_experiment(cfg)
+        outputs[sigma] = [p.read_text().splitlines() for p in write_results(cfg, cells, details)]
+        if sigma:
+            bad = [row for row in cells if row["cell_index"] == 1]
+            assert [row["algorithm"] for row in bad] == ["SP", "CoSaMP"]
+            assert all(row["skipped"] for row in bad)
+            assert all(row["skip_reason"] == "perturbation norm overflows (trial 0)" for row in bad)
+            assert not any(row["skipped"] for row in cells if row["cell_index"] != 1)
+            assert {row["cell_index"] for row in details} == {0, 2}
+
+    def other_cells(lines):
+        return [line for line in lines if line.split(",")[2] != "1"]
+
+    for overflowing, noiseless in zip(outputs[1e300], outputs[0.0]):
+        assert other_cells(overflowing) == other_cells(noiseless)
 
 
 def test_bounds_table_rows():

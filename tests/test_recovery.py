@@ -26,6 +26,7 @@ from pursuitlab import (
     subspace_pursuit,
     top_k_magnitude,
 )
+from pursuitlab.fileio import recovery_payload
 from pursuitlab.recovery import TRACE_LEVELS
 from conftest import base_frame, instance_for, perturbed_frame, sparse_signal
 
@@ -291,6 +292,35 @@ def test_cycle_builds_records_only_when_read(name, run, m, seed, monkeypatch):
     assert len(built) == before + 1 + 100 - computed
 
 
+@pytest.mark.parametrize("name,run,m,seed", [
+    ("SP", subspace_pursuit, 12, 98),
+    ("CoSaMP", cosamp, 14, 172),
+])
+def test_residual_history_builds_no_records(name, run, m, seed, monkeypatch):
+    # The residuals of a cycling run are read from its computed records, so
+    # a `recover` payload builds replayed records only for its iteration list.
+    built = []
+    build = IterationRecord.__init__
+
+    def counted_build(self, *args, **kwargs):
+        built.append(None)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(IterationRecord, "__init__", counted_build)
+    inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
+    result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=100), trace="none")
+    computed = len(built)
+    assert result.stop_reason == "cycle" and computed < 100
+    history = result.residual_history
+    assert len(built) == computed
+    assert recovery_payload(result, trace="none")["residual_history"] == history
+    assert len(built) == computed
+    payload = recovery_payload(result, trace="norms")
+    assert len(built) == 100  # the computed records, then each replayed one once
+    assert history == [row["residual_norm"] for row in payload["iterations"]]
+    assert history == [rec.residual_norm for rec in result.iterations]
+
+
 @pytest.mark.parametrize("name,run,m,solves_per_iteration", [
     ("SP", subspace_pursuit, 12, 2),
     ("CoSaMP", cosamp, 14, 1),
@@ -394,6 +424,27 @@ def test_non_finite_inputs_rejected(name, run, bad):
         run(inst.phi, inst.y, 3, truth=truth)
 
 
+def _count_kernel_calls(monkeypatch):
+    calls = Counter()
+    for kernel in ("least_squares_on_support", "top_k_magnitude"):
+        def counted(*args, _kernel=kernel, _original=getattr(pursuitlab.recovery, kernel)):
+            calls[_kernel] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pursuitlab.recovery, kernel, counted)
+    return calls
+
+
+def _distinct_solves(name, records):
+    """Solves a run needs when it reuses the last solution for an equal
+    support: one per maximal run of equal consecutive supports, in solve
+    order (SP: merged 1, pruned 1, merged 2, ...; CoSaMP: merged only)."""
+    supports = [t for rec in records
+                for t in ((rec.merged_support, rec.pruned_support) if name == "SP"
+                          else (rec.merged_support,))]
+    return sum(1 for i, t in enumerate(supports) if i == 0 or t != supports[i - 1])
+
+
 @pytest.mark.parametrize("name,run,m,seed,solves_per_iteration", [
     ("SP", subspace_pursuit, 12, 3, 2),
     ("CoSaMP", cosamp, 14, 1, 1),
@@ -405,16 +456,48 @@ def test_kernels_called_through_recovery_names(name, run, m, seed, solves_per_it
     # Seeds picked so that no state repeats within five iterations: all of
     # them are computed, and the run stops at the cap.
     inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
-    calls = Counter()
-    for kernel in ("least_squares_on_support", "top_k_magnitude"):
-        def counted(*args, _kernel=kernel, _original=getattr(pursuitlab.recovery, kernel)):
-            calls[_kernel] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(pursuitlab.recovery, kernel, counted)
+    calls = _count_kernel_calls(monkeypatch)
     result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=5))
     assert result.stop_reason == "cap" and len(result.iterations) == 5
-    assert calls == {"least_squares_on_support": 5 * solves_per_iteration, "top_k_magnitude": 10}
+    # SP's first pruning keeps the whole merged support: its solve is reused.
+    solves = _distinct_solves(name, result.iterations)
+    assert solves == 5 * solves_per_iteration - (name == "SP")
+    assert calls == {"least_squares_on_support": solves, "top_k_magnitude": 10}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["SP", "CoSaMP"]),
+    m=st.integers(12, 48),
+    sigma=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**16),
+    n_max=st.integers(1, 40),
+    exact=st.booleans(),
+    trace=st.sampled_from(TRACE_LEVELS),
+)
+# SP's first pruning keeps the merged support (every SP run); a run capped
+# there returns the reused solution, which must not be the record's array.
+@example(name="SP", m=40, sigma=1e-3, seed=3, n_max=1, exact=False, trace="full")
+# An SP fixed point: run past convergence, the new candidates all lie in the support.
+@example(name="SP", m=40, sigma=0.0, seed=35, n_max=20, exact=True, trace="full")
+# A CoSaMP merged support that repeats: a cycle of period 1.
+@example(name="CoSaMP", m=12, sigma=0.0, seed=1, n_max=40, exact=False, trace="full")
+def test_repeated_support_is_solved_once(name, m, sigma, seed, n_max, exact, trace):
+    inst = make_instance("exact-sparse", m, 64, 4, sigma, seed)
+    if exact:
+        # Stops only at the cap or a cycle.
+        stop = StoppingRule(epsilon=0.0, epsilon_abs=0.0, n_max=n_max)
+    else:
+        stop = StoppingRule(n_max=n_max, e_prime_norm_hint=inst.e_prime_norm)
+    run = subspace_pursuit if name == "SP" else cosamp
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_kernel_calls(patch)
+        result = run(inst.phi, inst.y, 4, stop=stop, trace=trace)
+    computed = result.iterations[:calls["top_k_magnitude"] // 2]
+    assert calls["least_squares_on_support"] == _distinct_solves(name, computed)
+    for rec in result.iterations:
+        for array in (rec.intermediate, rec.estimate):
+            assert array is None or not np.shares_memory(array, result.estimate)
 
 
 def test_residuals_logged_not_asserted_monotone():
