@@ -19,12 +19,7 @@ from .bounds import (
     sp_tail_metric_bounds,
 )
 from .experiments import ExperimentConfig, GridCell, run_experiment, write_results
-from .linalg import (
-    SingularSupportError,
-    columns_submatrix,
-    least_squares_on_support,
-    spectral_norm_symmetric,
-)
+from .linalg import SingularSupportError, least_squares_on_support, spectral_norm_symmetric
 from .recovery import (
     InequalityCheck,
     IterationRecord,
@@ -70,7 +65,6 @@ __all__ = [
     "audit_run",
     "best_s_term",
     "bounds_for",
-    "columns_submatrix",
     "cosamp",
     "cosamp_bounds",
     "delta_for_rho",

@@ -155,11 +155,6 @@ _SCALED_TAU = {
 }
 
 
-def rho_of(family: str, delta: float) -> float:
-    """Contraction factor of ``family`` at ``delta``."""
-    return _RHO[canonical_family(family)](_check_delta(delta))
-
-
 def delta_for_rho(family: str, target_rho: float) -> float:
     """Invert rho(delta) = target_rho by bisection on [0, 1).
 

@@ -18,18 +18,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
 from .bounds import COSAMP, SP, SP_DM, SP_LBJ, SP_TAIL, bounds_for, canonical_family, delta_for_rho
 from .experiments import ExperimentConfig, run_experiment, write_results
 from .fileio import (
+    BOUND_FIELDS,
+    bound_row,
     dump_json,
     read_matrix,
     read_vector,
     recovery_payload,
     ric_payload,
     write_matrix,
+    write_rows,
     write_vector,
 )
 from .recovery import StoppingRule, cosamp, subspace_pursuit
@@ -39,8 +43,6 @@ from .signals import KINDS, make_instance
 _ALGORITHMS = {"sp": SP, "cosamp": COSAMP}
 
 _COMPARE_FAMILIES = (SP, SP_TAIL, SP_LBJ, SP_DM)
-
-_BOUNDS_FIELDS = ("family", "delta", "rho", "tau", "valid", "threshold_rho1", "threshold_rho_half")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -76,18 +78,6 @@ def _cmd_ric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_row(report) -> dict:
-    return {
-        "family": report.algorithm,
-        "delta": report.delta,
-        "rho": report.rho,
-        "tau": report.tau,
-        "valid": report.valid,
-        "threshold_rho1": report.threshold_rho1,
-        "threshold_rho_half": report.threshold_rho_half,
-    }
-
-
 def _bounds_text(rows: list[dict]) -> str:
     header = f"{'family':<16} {'delta':>10} {'rho':>12} {'tau':>12} {'valid':>6} {'rho=1 at':>10} {'rho=1/2 at':>11}"
     lines = [header, "-" * len(header)]
@@ -96,20 +86,6 @@ def _bounds_text(rows: list[dict]) -> str:
         lines.append(
             f"{r['family']:<16} {r['delta']:>10.6f} {r['rho']:>12.6f} {tau:>12} "
             f"{str(r['valid']).lower():>6} {r['threshold_rho1']:>10.6f} {r['threshold_rho_half']:>11.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _bounds_csv(rows: list[dict]) -> str:
-    lines = [",".join(_BOUNDS_FIELDS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                ""
-                if r[f] is None
-                else (str(r[f]).lower() if isinstance(r[f], bool) else repr(r[f]) if isinstance(r[f], float) else str(r[f]))
-                for f in _BOUNDS_FIELDS
-            )
         )
     return "\n".join(lines) + "\n"
 
@@ -125,12 +101,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         return 0
     if args.delta is None:
         raise ValueError("bounds needs --delta (or --solve rho=<r>)")
-    if args.compare:
-        rows = [_report_row(bounds_for(f, args.delta)) for f in _COMPARE_FAMILIES]
-    else:
-        rows = [_report_row(bounds_for(canonical_family(args.family), args.delta))]
+    families = _COMPARE_FAMILIES if args.compare else (canonical_family(args.family),)
+    rows = [bound_row(bounds_for(f, args.delta)) for f in families]
     if args.format == "csv":
-        _emit(_bounds_csv(rows), args.output)
+        text = io.StringIO()
+        write_rows(text, rows, BOUND_FIELDS)
+        _emit(text.getvalue(), args.output)
     elif args.format == "json":
         _emit(dump_json({"reports": rows}), args.output)
     else:
@@ -144,7 +120,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, per_trial=True)
     cell_rows, detail_rows = run_experiment(config)
     written = write_results(config, cell_rows, detail_rows)
-    skipped = sum(1 for r in cell_rows if r.get("skipped"))
+    # A cell is skipped for one algorithm or for all; count each cell once.
+    skipped = len({r["cell_index"] for r in cell_rows if r.get("skipped")})
     for path in written:
         print(f"wrote {path}")
     if skipped:

@@ -17,15 +17,19 @@ Kinds:
 * ``bounds-table``     - tabulate rho/tau over a delta grid per family
   (no randomness; uses ``deltas`` and ``families`` instead of the grid).
 
-Aggregated rows go to ``output_path``; per-trial (or per-iteration, for
-``convergence``) rows go alongside it when ``per_trial`` is set.  A cell
-with a trial whose perturbation norm overflows to inf is marked skipped,
-with its reason, for every algorithm and gets no per-trial rows.
+``run_experiment`` takes the grid one cell at a time: it runs the cell's
+trials, each on one instance shared by the algorithms, then builds the
+cell's rows.  Aggregated rows go to ``output_path``; per-trial (or
+per-iteration, for ``convergence``) rows go alongside it when
+``per_trial`` is set.  Both files stream through ``fileio.write_rows``,
+and ``bounds-table`` rows are ``fileio.bound_row``, as the CLI prints them.
+A cell with a trial whose perturbation norm overflows to inf is marked
+skipped, with its reason, for every algorithm and gets no per-trial rows.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import COSAMP, SP, bounds_for, canonical_family
-from .fileio import SCHEMA_VERSION
-from .recovery import StoppingRule, audit_run, cosamp, merged_size, subspace_pursuit
+from .fileio import BOUND_FIELDS, SCHEMA_VERSION, bound_row, write_rows
+from .recovery import StoppingRule, audit_run, certified_order, cosamp, merged_size, subspace_pursuit
 from .ric import DEFAULT_ENUMERATION_BUDGET, exact_ric
 from .seeding import derive_seed
 from .signals import KINDS, make_instance
@@ -61,10 +65,7 @@ ITERATION_COLUMNS = [
     "iteration", "residual_norm", "signal_error", "tail_energy",
 ]
 
-BOUNDS_COLUMNS = [
-    "schema_version", "experiment", "row_index", "family", "delta",
-    "rho", "tau", "valid", "threshold_rho1", "threshold_rho_half",
-]
+BOUNDS_COLUMNS = ["schema_version", "experiment", "row_index", *BOUND_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,9 @@ class ExperimentConfig:
                 raise ValueError("bounds-table needs non-empty 'deltas' and 'families'")
             for fam in self.families:
                 canonical_family(fam)
+            for delta in self.deltas:
+                if not 0.0 <= delta < 1.0:
+                    raise ValueError(f"bounds-table delta {delta} must lie in [0, 1)")
             return
         if not self.grid:
             raise ValueError("grid must be non-empty")
@@ -163,16 +167,6 @@ def _recover(algorithm: str, instance, stop: StoppingRule, with_truth: bool):
     return run(instance.phi, instance.y, instance.s, stop=stop, truth=truth, trace="none")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 class _SkippedCell(Exception):
     """A trial of the cell cannot run; the message is the cell's skip reason."""
 
@@ -181,9 +175,10 @@ def _run_trial(
     config: ExperimentConfig,
     cell_index: int,
     trial_index: int,
-    algorithms: tuple[str, ...],
-) -> dict:
-    """All per-trial measurements for one (cell, trial): one dict per algorithm."""
+    keys: dict[str, dict],
+) -> dict[str, tuple[dict, list[dict]]]:
+    """One (cell, trial) on one instance: per algorithm of ``keys``, its trial
+    row and its iteration rows (``convergence`` only)."""
     cell = config.grid[cell_index]
     seed = derive_seed(config.master_seed, cell_index, trial_index)
     # An overflow is reported as a skipped cell, not as a numpy warning.
@@ -193,179 +188,128 @@ def _run_trial(
         raise _SkippedCell(f"perturbation norm overflows (trial {trial_index})")
     stop = StoppingRule(e_prime_norm_hint=instance.e_prime_norm)
     x_norm = float(np.linalg.norm(instance.x))
-    out: dict = {"seed": seed, "algorithms": {}}
-    for algorithm in algorithms:
-        entry: dict = {}
+    out = {}
+    for algorithm, key in keys.items():
         result = _recover(algorithm, instance, stop, config.experiment != "phase-transition")
         error = float(np.linalg.norm(result.estimate - instance.x))
         rel_error = error / x_norm if x_norm > 0 else error
-        entry.update(
-            converged=result.converged,
-            iterations=len(result.iterations),
-            final_error=rel_error,
-            success=rel_error <= config.success_threshold,
-        )
+        row = key | {
+            "trial_index": trial_index,
+            "seed": seed,
+            "converged": result.converged,
+            "iterations": len(result.iterations),
+            "final_error": rel_error,
+            "success": rel_error <= config.success_threshold,
+            "audit_violations": None,
+            "certified_delta": None,
+        }
+        iteration_rows = []
         if config.experiment == "convergence":
-            entry["history"] = [
-                (rec.n, rec.residual_norm, rec.signal_error, rec.tail_energy)
+            iteration_rows = [
+                key | {
+                    "trial_index": trial_index,
+                    "iteration": rec.n,
+                    "residual_norm": rec.residual_norm,
+                    "signal_error": rec.signal_error,
+                    "tail_energy": rec.tail_energy,
+                }
                 for rec in result.iterations
             ]
         if config.experiment == "audit":
-            order = 3 * cell.s if algorithm == SP else 4 * cell.s
-            delta = exact_ric(instance.phi, order, budget=config.ric_budget)
-            report_threshold = bounds_for(algorithm, 0.0).threshold_rho1
+            delta = exact_ric(instance.phi, certified_order(algorithm, cell.s), budget=config.ric_budget)
             checks = audit_run(result, instance, delta)
-            entry.update(
-                certified_delta=delta.value,
-                delta_order=order,
-                below_threshold=delta.value < report_threshold,
-                violations=sum(1 for _, chk in checks if not chk.holds),
-            )
-        out["algorithms"][algorithm] = entry
+            row["audit_violations"] = sum(1 for _, chk in checks if not chk.holds)
+            row["certified_delta"] = delta.value
+        out[algorithm] = (row, iteration_rows)
     return out
 
 
-def _bounds_rows(config: ExperimentConfig) -> list[dict]:
-    rows = []
-    index = 0
-    for family in config.families:
-        for delta in config.deltas:
-            report = bounds_for(family, delta)
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "experiment": config.experiment,
-                    "row_index": index,
-                    "family": report.algorithm,
-                    "delta": report.delta,
-                    "rho": report.rho,
-                    "tau": report.tau,
-                    "valid": report.valid,
-                    "threshold_rho1": report.threshold_rho1,
-                    "threshold_rho_half": report.threshold_rho_half,
-                }
-            )
-            index += 1
-    return rows
+def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], list[dict]]:
+    """Run every trial of one grid cell; returns its cell rows and detail rows."""
+    cell = config.grid[cell_index]
+    # Audit cells whose exhaustive certification would blow the budget are
+    # skipped per algorithm, never silently degraded.
+    skipped: dict[str, str] = {}
+    if config.experiment == "audit":
+        for algorithm in config.algorithms:
+            order = certified_order(algorithm, cell.s)
+            if order > cell.n or math.comb(cell.n, order) > config.ric_budget:
+                skipped[algorithm] = "enumeration budget exceeded"
+    keys = {
+        algorithm: {
+            "schema_version": SCHEMA_VERSION,
+            "experiment": config.experiment,
+            "cell_index": cell_index,
+            "algorithm": algorithm,
+        }
+        for algorithm in config.algorithms
+    }
+    active = {a: key for a, key in keys.items() if a not in skipped}
+    runs: dict[str, list[tuple[dict, list[dict]]]] = {a: [] for a in active}
+    # A cell with a trial that cannot run is skipped whole, with no detail
+    # rows; a cell skipped for every algorithm draws no instance.
+    try:
+        for ti in range(config.trials_per_cell if active else 0):
+            for algorithm, run in _run_trial(config, cell_index, ti, active).items():
+                runs[algorithm].append(run)
+    except _SkippedCell as skip:
+        skipped.update(dict.fromkeys(active, str(skip)))
+
+    cell_rows: list[dict] = []
+    detail_rows: list[dict] = []
+    for algorithm, key in keys.items():
+        row = key | {
+            "m": cell.m,
+            "N": cell.n,
+            "s": cell.s,
+            "noise_sigma": cell.noise_sigma,
+            "kind": config.kind,
+            "trials": config.trials_per_cell,
+        }
+        if algorithm in skipped:
+            cell_rows.append(row | {"skipped": True, "skip_reason": skipped[algorithm]})
+            continue
+        trial_rows = [trial for trial, _ in runs[algorithm]]
+        row |= {
+            "success_rate": float(np.mean([t["success"] for t in trial_rows])),
+            "median_iterations": float(np.median([t["iterations"] for t in trial_rows])),
+            "mean_final_error": float(np.mean([t["final_error"] for t in trial_rows])),
+            "skipped": False,
+            "skip_reason": "",
+        }
+        if config.experiment == "audit":
+            deltas = [t["certified_delta"] for t in trial_rows]
+            threshold = bounds_for(algorithm, 0.0).threshold_rho1
+            row |= {
+                "audit_violations": int(sum(t["audit_violations"] for t in trial_rows)),
+                "certified_delta": float(np.median(deltas)),
+                "delta_order": certified_order(algorithm, cell.s),
+                "below_threshold": all(d < threshold for d in deltas),
+            }
+        cell_rows.append(row)
+        if config.experiment == "convergence":
+            detail_rows.extend(r for _, iteration_rows in runs[algorithm] for r in iteration_rows)
+        else:
+            detail_rows.extend(trial_rows)
+    return cell_rows, detail_rows
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Execute the experiment; returns (aggregated rows, detail rows)."""
     if config.experiment == "bounds-table":
-        return _bounds_rows(config), []
-
-    # Audit cells whose exhaustive certification would blow the budget are
-    # skipped per (cell, algorithm), never silently degraded.
-    skipped: dict[tuple[int, str], str] = {}
-    if config.experiment == "audit":
-        for ci, cell in enumerate(config.grid):
-            for algorithm in config.algorithms:
-                order = 3 * cell.s if algorithm == SP else 4 * cell.s
-                if order > cell.n or math.comb(cell.n, order) > config.ric_budget:
-                    skipped[(ci, algorithm)] = "enumeration budget exceeded"
-
-    cell_algorithms = {
-        ci: tuple(a for a in config.algorithms if (ci, a) not in skipped)
-        for ci in range(len(config.grid))
-    }
-    # A cell with a trial that cannot run is skipped whole, with no detail rows.
-    by_task = {}
-    for ci, algorithms in cell_algorithms.items():
-        if not algorithms:
-            continue
-        try:
-            for ti in range(config.trials_per_cell):
-                by_task[(ci, ti)] = _run_trial(config, ci, ti, algorithms)
-        except _SkippedCell as skip:
-            skipped.update({(ci, algorithm): str(skip) for algorithm in algorithms})
-
+        pairs = itertools.product(config.families, config.deltas)
+        head = {"schema_version": SCHEMA_VERSION, "experiment": config.experiment}
+        return [
+            head | {"row_index": i} | bound_row(bounds_for(family, delta))
+            for i, (family, delta) in enumerate(pairs)
+        ], []
     cell_rows: list[dict] = []
     detail_rows: list[dict] = []
-    for ci, cell in enumerate(config.grid):
-        for algorithm in config.algorithms:
-            base = {
-                "schema_version": SCHEMA_VERSION,
-                "experiment": config.experiment,
-                "cell_index": ci,
-                "algorithm": algorithm,
-                "m": cell.m,
-                "N": cell.n,
-                "s": cell.s,
-                "noise_sigma": cell.noise_sigma,
-                "kind": config.kind,
-                "trials": config.trials_per_cell,
-            }
-            if (ci, algorithm) in skipped:
-                cell_rows.append(
-                    base | {"skipped": True, "skip_reason": skipped[(ci, algorithm)]}
-                )
-                continue
-            trials = [
-                (ti, by_task[(ci, ti)]) for ti in range(config.trials_per_cell)
-                if (ci, ti) in by_task
-            ]
-            entries = [(ti, t["seed"], t["algorithms"][algorithm]) for ti, t in trials]
-            successes = [e["success"] for _, _, e in entries]
-            iteration_counts = [e["iterations"] for _, _, e in entries]
-            errors = [e["final_error"] for _, _, e in entries]
-            row = base | {
-                "success_rate": float(np.mean(successes)),
-                "median_iterations": float(np.median(iteration_counts)),
-                "mean_final_error": float(np.mean(errors)),
-                "skipped": False,
-                "skip_reason": "",
-            }
-            if config.experiment == "audit":
-                row["audit_violations"] = int(sum(e["violations"] for _, _, e in entries))
-                row["certified_delta"] = float(np.median([e["certified_delta"] for _, _, e in entries]))
-                row["delta_order"] = entries[0][2]["delta_order"]
-                row["below_threshold"] = all(e["below_threshold"] for _, _, e in entries)
-            cell_rows.append(row)
-
-            if config.experiment == "convergence":
-                for ti, seed, e in entries:
-                    for n, residual, sig, tail in e["history"]:
-                        detail_rows.append(
-                            {
-                                "schema_version": SCHEMA_VERSION,
-                                "experiment": config.experiment,
-                                "cell_index": ci,
-                                "algorithm": algorithm,
-                                "trial_index": ti,
-                                "iteration": n,
-                                "residual_norm": residual,
-                                "signal_error": sig,
-                                "tail_energy": tail,
-                            }
-                        )
-            else:
-                for ti, seed, e in entries:
-                    detail_rows.append(
-                        {
-                            "schema_version": SCHEMA_VERSION,
-                            "experiment": config.experiment,
-                            "cell_index": ci,
-                            "algorithm": algorithm,
-                            "trial_index": ti,
-                            "seed": seed,
-                            "converged": e["converged"],
-                            "iterations": e["iterations"],
-                            "final_error": e["final_error"],
-                            "success": e["success"],
-                            "audit_violations": e.get("violations"),
-                            "certified_delta": e.get("certified_delta"),
-                        }
-                    )
+    for ci in range(len(config.grid)):
+        cells, details = _run_cell(config, ci)
+        cell_rows += cells
+        detail_rows += details
     return cell_rows, detail_rows
-
-
-def write_csv(path: str | Path, rows: list[dict], columns: list[str]) -> None:
-    """Write rows under a fixed column order with round-trip float formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
 
 
 def detail_columns(experiment: str) -> list[str]:
@@ -375,13 +319,13 @@ def detail_columns(experiment: str) -> list[str]:
 def write_results(config: ExperimentConfig, cell_rows: list[dict], detail_rows: list[dict]) -> list[Path]:
     """Persist result rows; returns the paths written."""
     out = Path(config.output_path)
-    written = [out]
     if config.experiment == "bounds-table":
-        write_csv(out, cell_rows, BOUNDS_COLUMNS)
-        return written
-    write_csv(out, cell_rows, CELL_COLUMNS)
-    if config.per_trial:
-        detail = trials_path(out)
-        write_csv(detail, detail_rows, detail_columns(config.experiment))
-        written.append(detail)
-    return written
+        files = [(out, cell_rows, BOUNDS_COLUMNS)]
+    else:
+        files = [(out, cell_rows, CELL_COLUMNS)]
+        if config.per_trial:
+            files.append((trials_path(out), detail_rows, detail_columns(config.experiment)))
+    for path, rows, columns in files:
+        with open(path, "w", newline="") as fh:
+            write_rows(fh, rows, columns)
+    return [path for path, _, _ in files]

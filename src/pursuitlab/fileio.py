@@ -17,20 +17,32 @@ the same tokens, so it cannot change a value, and since it only hands over
 to the per-token loop, which checks the same three conditions, it cannot
 change a message either.  Vectors are short and always take the per-token
 loop.  Writers stream one row at a time to the file.
+
+Result rows (the ``bounds`` command and every experiment file) go through
+one CSV writer, ``write_rows``: floats in shortest round-trip form,
+booleans as ``true``/``false`` and a missing value as an empty field.
+``bound_row`` is the one row of a formula family at one delta that both
+``bounds`` and the ``bounds-table`` experiment print.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
+from .bounds import BoundReport
 from .linalg import as_matrix, as_vector
 from .recovery import RecoveryResult
 from .ric import RicEstimate
 
 SCHEMA_VERSION = 1
+
+BOUND_FIELDS = ("family", "delta", "rho", "tau", "valid", "threshold_rho1", "threshold_rho_half")
 
 
 class FileFormatError(ValueError):
@@ -184,3 +196,34 @@ def ric_payload(estimate: RicEstimate) -> dict:
         "supports_examined": estimate.supports_examined,
         "rip_holds": estimate.rip_holds,
     }
+
+
+def bound_row(report: BoundReport) -> dict:
+    """The ``BOUND_FIELDS`` of one formula family at one delta."""
+    return {
+        "family": report.algorithm,
+        "delta": report.delta,
+        "rho": report.rho,
+        "tau": report.tau,
+        "valid": report.valid,
+        "threshold_rho1": report.threshold_rho1,
+        "threshold_rho_half": report.threshold_rho_half,
+    }
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_rows(stream: TextIO, rows: Iterable[dict], columns: Sequence[str]) -> None:
+    """Write a header and one CSV line per row, in ``columns`` order, as rows arrive."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_field(row.get(col)) for col in columns])

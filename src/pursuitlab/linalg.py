@@ -51,20 +51,6 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
-def columns_submatrix(phi: np.ndarray, t: SupportSet) -> np.ndarray:
-    """Submatrix of the columns of ``phi`` indexed by ``t``, in ascending order."""
-    phi = as_matrix(phi)
-    _check_columns(phi, t)
-    return phi[:, t.as_array()]
-
-
-def _check_columns(phi: np.ndarray, t: SupportSet) -> None:
-    if len(t) and t.indices[-1] >= phi.shape[1]:
-        raise ValueError(
-            f"column index {t.indices[-1]} out of range for matrix with {phi.shape[1]} columns"
-        )
-
-
 def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> np.ndarray:
     """Minimize ||y - phi z||_2 over vectors z supported on ``t``.
 
@@ -86,8 +72,10 @@ def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> n
         return z
     if len(t) > phi.shape[0]:
         raise SingularSupportError(t)
-    # phi is checked above; columns_submatrix would check it again.
-    _check_columns(phi, t)
+    if t.indices[-1] >= phi.shape[1]:
+        raise ValueError(
+            f"column index {t.indices[-1]} out of range for matrix with {phi.shape[1]} columns"
+        )
     idx = t.as_array()
     q, r = np.linalg.qr(phi[:, idx], mode="reduced")
     diag = np.abs(np.diag(r))

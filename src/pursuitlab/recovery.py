@@ -218,6 +218,11 @@ def merged_size(algorithm: str, s: int) -> int:
     return 2 * s if algorithm == SP else 3 * s
 
 
+def certified_order(algorithm: str, s: int) -> int:
+    """Isometry order the algorithm's analysis needs: 3s for SP, 4s for CoSaMP."""
+    return merged_size(algorithm, s) + s
+
+
 def _run(
     algorithm: str,
     phi: np.ndarray,
@@ -375,10 +380,6 @@ def cosamp(
     return _run(COSAMP, phi, y, s, stop or StoppingRule(), truth, trace)
 
 
-def _restricted_norm(v: np.ndarray, t: SupportSet) -> float:
-    return float(np.linalg.norm(v[t.as_array()])) if len(t) else 0.0
-
-
 def audit_iteration(
     record: IterationRecord,
     prev: IterationRecord | None,
@@ -417,7 +418,7 @@ def audit_iteration(
         raise ValueError("audit needs a full trace (run with ground truth)")
     if prev is not None and prev.estimate is None:
         raise ValueError("audit needs a full trace for the previous iteration")
-    order = 3 * instance.s if algorithm == SP else 4 * instance.s
+    order = certified_order(algorithm, instance.s)
     if delta.mode != "exact":
         raise ValueError("audit requires an exactly certified constant")
     if delta.s < order:
@@ -440,32 +441,33 @@ def audit_iteration(
     def add(name: str, lhs: float, rhs: float) -> None:
         checks.append(InequalityCheck(name, lhs, rhs, lhs <= rhs + slack))
 
-    merged = record.merged_support
-    dropped = merged.difference(record.pruned_support)
+    merged = record.merged_support.as_array()
+    dropped = merged[~np.isin(merged, record.pruned_support.as_array())]
+    missed = x_s.copy()
+    missed[merged] = 0.0
+    missed_norm = float(np.linalg.norm(missed))
     mid_error = float(np.linalg.norm(x_s - record.intermediate))
     end_error = float(np.linalg.norm(x_s - record.estimate))
 
     add(
         "identification",
-        float(np.linalg.norm(restrict(x_s, merged.complement()))),
+        missed_norm,
         np.sqrt(2.0) * d * prev_error + np.sqrt(2.0 * (1.0 + d)) * e_norm,
     )
     add(
         "debiasing",
-        _restricted_norm(x_s - record.intermediate, merged),
+        float(np.linalg.norm((x_s - record.intermediate)[merged])),
         d * mid_error + np.sqrt(1.0 + d) * e_norm,
     )
     if d < 1.0:
         add(
             "metric-relation",
             mid_error,
-            np.sqrt(1.0 / (1.0 - d * d))
-            * float(np.linalg.norm(restrict(x_s, merged.complement())))
-            + np.sqrt(1.0 + d) / (1.0 - d) * e_norm,
+            np.sqrt(1.0 / (1.0 - d * d)) * missed_norm + np.sqrt(1.0 + d) / (1.0 - d) * e_norm,
         )
     add(
         "pruning",
-        _restricted_norm(x_s, dropped),
+        float(np.linalg.norm(x_s[dropped])),
         np.sqrt(2.0) * d * mid_error + np.sqrt(2.0 * (1.0 + d)) * e_norm,
     )
     report = bounds_for(algorithm, d) if d < 1.0 else None
@@ -480,7 +482,7 @@ def audit_iteration(
     # ceiling is pure float noise scaled by the problem.
     ortho_scale = AUDIT_SLACK * float(np.linalg.norm(phi, 2)) * float(np.linalg.norm(y))
     mid_corr = phi.T @ (y - phi @ record.intermediate)
-    add("orthogonality-merged", float(np.abs(mid_corr[merged.as_array()]).max()), ortho_scale)
+    add("orthogonality-merged", float(np.abs(mid_corr[merged]).max()), ortho_scale)
     if algorithm == SP:
         end_corr = phi.T @ (y - phi @ record.estimate)
         add(

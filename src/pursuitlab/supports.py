@@ -62,26 +62,6 @@ class SupportSet:
     def __contains__(self, i: int) -> bool:
         return i in self.indices
 
-    def _check_same_universe(self, other: "SupportSet") -> None:
-        if self.universe != other.universe:
-            raise ValueError(f"universe mismatch: {self.universe} != {other.universe}")
-
-    def union(self, other: "SupportSet") -> "SupportSet":
-        self._check_same_universe(other)
-        return SupportSet.from_iterable(set(self.indices) | set(other.indices), self.universe)
-
-    def intersection(self, other: "SupportSet") -> "SupportSet":
-        self._check_same_universe(other)
-        return SupportSet.from_iterable(set(self.indices) & set(other.indices), self.universe)
-
-    def difference(self, other: "SupportSet") -> "SupportSet":
-        self._check_same_universe(other)
-        return SupportSet.from_iterable(set(self.indices) - set(other.indices), self.universe)
-
-    def complement(self) -> "SupportSet":
-        inside = set(self.indices)
-        return SupportSet(tuple(i for i in range(self.universe) if i not in inside), self.universe)
-
     def as_array(self) -> np.ndarray:
         """Indices as an integer numpy array (for fancy indexing)."""
         return np.asarray(self.indices, dtype=np.intp)

@@ -196,6 +196,35 @@ def test_bounds_outputs():
     assert out.returncode == 1
 
 
+def test_bound_outputs_match_golden_bytes(tmp_path):
+    # Recorded before `bounds` and `bounds-table` shared one row builder and
+    # one CSV writer; both are plain float arithmetic, so the bytes do not
+    # depend on the platform.
+    compare = ("bounds", "--compare", "--delta", "0.3063")
+    cases = {
+        "bounds_compare_0.3063.txt": compare,
+        "bounds_compare_0.3063.csv": (*compare, "--format", "csv"),
+        "bounds_compare_0.3063.json": (*compare, "--format", "json"),
+        # An invalid row: rho > 1, so tau is an empty field.
+        "bounds_cosamp_0.55.csv": ("bounds", "--family", "cosamp", "--delta", "0.55", "--format", "csv"),
+    }
+    for name, argv in cases.items():
+        out = run_cli(*argv, "--output", str(tmp_path / name))
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+    cfg = {
+        "experiment": "bounds-table",
+        "families": ["SP", "SP-tail-metric", "CoSaMP", "SP-LBJ-prior", "SP-DM-prior"],
+        "deltas": [0, 0.2, 0.3063, 0.45, 0.9],
+        "output_path": str(tmp_path / "bounds_table.csv"),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = run_cli("experiment", "--config", str(tmp_path / "cfg.json"))
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "bounds_table.csv").read_bytes() == (DATA / "bounds_table.csv").read_bytes()
+
+
 def test_experiment_cli_round_trip(tmp_path):
     cfg = {
         "experiment": "phase-transition",
@@ -228,6 +257,13 @@ def test_experiment_cli_round_trip(tmp_path):
     assert "skipped 1 cell(s)" in out.stdout
     assert (tmp_path / "res.csv").read_bytes().startswith(first)
     assert (tmp_path / "res.trials.csv").read_bytes() == trials_first
+
+    # Skipped for both algorithms, the overflowing cell still counts once.
+    cfg["algorithms"] = ["SP", "CoSaMP"]
+    cfg_path.write_text(json.dumps(cfg))
+    out = run_cli("experiment", "--config", str(cfg_path))
+    assert out.returncode == 0, out.stderr
+    assert "skipped 1 cell(s)" in out.stdout
 
 
 def test_stopping_flags_reach_library(fixture_files):

@@ -61,6 +61,12 @@ def test_config_validation():
         ]
         with pytest.raises(ValueError, match="m=16.*noise_sigma must be finite and >= 0"):
             ExperimentConfig.from_dict(config_dict(grid=grid))
+    # A bounds-table delta outside [0, 1) fails when the config is built.
+    for delta in (-0.1, 1.0, 1.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"bounds-table delta {delta} must lie in"):
+            ExperimentConfig.from_dict(
+                {"experiment": "bounds-table", "deltas": [0.2, delta], "families": ["sp"]}
+            )
     for threshold in (0.0, -1e-4, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="success_threshold must be positive and finite"):
             ExperimentConfig.from_dict(config_dict(success_threshold=threshold))

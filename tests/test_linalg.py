@@ -4,7 +4,6 @@ import pytest
 from pursuitlab import (
     SingularSupportError,
     SupportSet,
-    columns_submatrix,
     least_squares_on_support,
     spectral_norm_symmetric,
 )
@@ -12,31 +11,6 @@ from pursuitlab import (
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
-
-
-class TestColumnsSubmatrix:
-    def test_direct_selection(self):
-        phi = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        t = SupportSet.from_iterable([0, 2], 3)
-        assert np.array_equal(columns_submatrix(phi, t), [[1.0, 3.0], [4.0, 6.0]])
-
-    def test_all_columns_is_identity(self):
-        phi = rng(1).normal(size=(3, 5))
-        assert np.array_equal(columns_submatrix(phi, SupportSet.full(5)), phi)
-
-    def test_gram_block_oracle(self):
-        # The Gram of a column block must equal the block of the full Gram.
-        phi = rng(2).normal(size=(4, 6))
-        t = SupportSet.from_iterable([1, 3], 6)
-        block = columns_submatrix(phi, t)
-        full_gram = phi.T @ phi
-        expected = full_gram[np.ix_([1, 3], [1, 3])]
-        assert np.allclose(block.T @ block, expected, atol=1e-14)
-
-    def test_out_of_range(self):
-        phi = np.zeros((2, 3)) + 1.0
-        with pytest.raises(ValueError):
-            columns_submatrix(phi, SupportSet.from_iterable([0, 3], 4))
 
 
 class TestLeastSquares:
@@ -101,6 +75,11 @@ class TestLeastSquares:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             least_squares_on_support(np.eye(3), np.ones(4), SupportSet.from_iterable([0], 3))
+
+    def test_out_of_range(self):
+        phi = np.zeros((2, 3)) + 1.0
+        with pytest.raises(ValueError, match="column index 3 out of range"):
+            least_squares_on_support(phi, np.ones(2), SupportSet.from_iterable([0, 3], 4))
 
 
 class TestSpectralNorm:

@@ -127,7 +127,7 @@ def reference_run(name, phi, y, s, stop, truth, trace):
     estimate, support, records = np.zeros(n), SupportSet.empty(n), []
     for it in range(1, stop.n_max + 1):
         delta_support = top_k_magnitude(phi.T @ (y - phi @ estimate), s if name == "SP" else 2 * s)
-        merged = support.union(delta_support)
+        merged = SupportSet.from_iterable(set(support.indices) | set(delta_support.indices), n)
         intermediate = least_squares_on_support(phi, y, merged)
         support = top_k_magnitude(intermediate, s)
         if name == "SP":
@@ -136,12 +136,13 @@ def reference_run(name, phi, y, s, stop, truth, trace):
             estimate = restrict(intermediate, support)
         residual = float(np.linalg.norm(y - phi @ estimate))
         truth_known = x_s is not None
+        outside = SupportSet.from_iterable(set(range(n)) - set(support.indices), n)
         records.append(IterationRecord(
             it, delta_support, merged, support, residual,
             intermediate if keep_vectors else None,
             estimate.copy() if keep_vectors else None,
             float(np.linalg.norm(x_s - estimate)) if truth_known else None,
-            float(np.linalg.norm(restrict(x_s, support.complement()))) if truth_known else None,
+            float(np.linalg.norm(restrict(x_s, outside))) if truth_known else None,
         ))
         if residual <= stop.residual_threshold:
             return estimate, support, records, True

@@ -19,21 +19,3 @@ def test_rejects_duplicates_and_out_of_range():
         SupportSet((2, 1), 4)
     with pytest.raises(ValueError):
         SupportSet((0,), 0)
-
-
-def test_set_operations():
-    a = SupportSet.from_iterable([0, 2, 5], 8)
-    b = SupportSet.from_iterable([2, 3], 8)
-    assert a.union(b).indices == (0, 2, 3, 5)
-    assert a.intersection(b).indices == (2,)
-    assert a.difference(b).indices == (0, 5)
-    assert a.complement().indices == (1, 3, 4, 6, 7)
-    assert SupportSet.empty(3).complement().indices == (0, 1, 2)
-    assert SupportSet.full(3).complement().indices == ()
-
-
-def test_universe_mismatch():
-    a = SupportSet.from_iterable([0], 4)
-    b = SupportSet.from_iterable([0], 5)
-    with pytest.raises(ValueError):
-        a.union(b)
