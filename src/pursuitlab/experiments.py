@@ -130,13 +130,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, default_output: str = "results.csv") -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+
+        def listed(field: str, default: list, entry: type | None = None) -> list:
+            value = raw.get(field, default)
+            if not isinstance(value, list):
+                raise ValueError(f"'{field}' must be a list, got {value!r}")
+            for item in value:
+                if entry is not None and not isinstance(item, entry):
+                    kind = "an object" if entry is dict else "a string"
+                    raise ValueError(f"each '{field}' entry must be {kind}, got {item!r}")
+            return value
+
         grid = tuple(
             GridCell(int(c["m"]), int(c["N"]), int(c["s"]), float(c.get("noise_sigma", 0.0)))
-            for c in raw.get("grid", [])
+            for c in listed("grid", [], dict)
         )
         return cls(
             experiment=raw["experiment"],
-            algorithms=tuple(raw.get("algorithms", [SP])),
+            algorithms=tuple(listed("algorithms", [SP], str)),
             grid=grid,
             trials_per_cell=int(raw.get("trials_per_cell", 1)),
             master_seed=int(raw.get("master_seed", 0)),
@@ -145,8 +158,8 @@ class ExperimentConfig:
             kind=str(raw.get("kind", "exact-sparse")),
             per_trial=bool(raw.get("per_trial", False)),
             ric_budget=int(raw.get("ric_budget", DEFAULT_ENUMERATION_BUDGET)),
-            deltas=tuple(float(d) for d in raw.get("deltas", [])),
-            families=tuple(raw.get("families", [])),
+            deltas=tuple(float(d) for d in listed("deltas", [])),
+            families=tuple(listed("families", [], str)),
         )
 
     @classmethod

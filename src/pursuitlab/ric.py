@@ -8,7 +8,12 @@ size-s column Gram block from the identity:
 ``exact_ric`` certifies it over every support (restricting to |S| = s
 suffices: any smaller block is a principal submatrix of a size-s block,
 whose deviation dominates).  ``sampled_ric_lower_bound`` scans a random
-subset of supports and therefore never exceeds the exact value.
+subset of supports and therefore never exceeds the exact value.  Trial t
+samples the support that numpy's ``Generator(PCG64(derive_seed(seed,
+t))).choice(N, s, replace=False)`` draws, sorted; ``draws.sorted_choices``
+reproduces those draws bit for bit for a whole batch of trials at once, by
+running numpy's seeding, PCG64 and ``choice`` steps on arrays with one
+lane per trial.
 
 The exhaustive certification walks a tree of supports instead of listing
 them.  A node is a prefix P together with the columns R = {a, ..., N-1}
@@ -37,6 +42,7 @@ restricted isometry at that order (some block is singular or worse).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +50,8 @@ import numpy as np
 # ``spectral_norm_symmetric`` is not called here; it stays importable from this
 # module because tracing tools wrap it at this import site.
 from .linalg import as_matrix, as_vector, spectral_norm_symmetric  # noqa: F401
-from .seeding import derive_seed
+from .draws import sorted_choices
+from .seeding import derive_seeds
 from .supports import SupportSet
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -56,6 +63,9 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 # steps.
 _CHUNK = 4096
 _CHUNK_ENTRIES = 512 * 64
+
+# Bytes the sampled bound's support drawing may hold at once.
+_DRAW_BYTES = 1 << 22
 
 # A tree node's bound squares its scaled block this many times, so it
 # overestimates ||A||_2 by a factor of at most t^(1/32) for t columns.
@@ -431,18 +441,32 @@ def sampled_ric_lower_bound(
 ) -> RicEstimate:
     """Lower-bound the order-s constant from ``trials`` random supports.
 
-    Each trial draws its support from a sub-seed derived from
-    (seed, trial index), so results do not depend on evaluation order.
+    The support of trial t is
+    ``np.sort(np.random.Generator(np.random.PCG64(derive_seed(seed, t)))
+    .choice(N, s, replace=False))``: numpy's SeedSequence and PCG64 seeded
+    from the SplitMix64 sub-seed of (seed, t), and its ``choice`` without
+    replacement (Floyd's algorithm, or a tail Fisher-Yates shuffle when
+    N > 10000 and s > N // 50).  ``draws.sorted_choices`` evaluates those
+    steps for a batch of trials at once and returns the same supports bit
+    for bit; no generator object is built.  Each trial has its own
+    sub-seed, so results do not depend on evaluation order.  ``seed`` is
+    folded to 64 bits as ``derive_seed`` folds it (-1 and 2**64 - 1 give
+    the same supports).
+
     Blocks are symmetrised as 0.5 * (B + B^T) and solved in stacks; the
     maximum is updated on strict improvement only, so the witness is the
     first trial attaining the value.
 
     Raises:
-        ValueError: ``s`` or ``trials`` is out of range, or phi^T phi
-            overflows.
+        ValueError: ``s``, ``trials`` or ``seed`` is not an integer
+            (``trials`` not a bool either), ``s`` or ``trials`` is out of
+            range, or phi^T phi overflows.
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
+    for name, value in (("s", s), ("trials", trials), ("seed", seed)):
+        if not isinstance(value, numbers.Integral) or (name == "trials" and isinstance(value, bool)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not (1 <= s <= n):
         raise ValueError(f"order s={s} out of range for {n} columns")
     if trials < 1:
@@ -453,18 +477,21 @@ def sampled_ric_lower_bound(
     best = -np.inf
     witness: tuple[int, ...] = tuple(range(s))
     rows = _chunk_rows(s)
-    for start in range(0, trials, rows):
-        supports = np.array(
-            [_sampled_support(n, s, seed, trial) for trial in range(start, min(start + rows, trials))],
-            dtype=np.intp,
-        )
-        blocks = gram[supports[:, :, None], supports[:, None, :]] - eye
-        sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-        values = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
-        i = int(np.argmax(values))
-        if values[i] > best:
-            best = float(values[i])
-            witness = tuple(int(j) for j in supports[i])
+    # Draw batches are sized by trial count, not by eigen stack, so that
+    # large orders still draw many trials per pass; the drawing holds about
+    # 8 * N bytes per trial.
+    draws = max(1, min(_CHUNK, _DRAW_BYTES // (8 * n)))
+    for first in range(0, trials, draws):
+        batch = sorted_choices(derive_seeds(seed, first, min(draws, trials - first)), n, s)
+        for start in range(0, len(batch), rows):
+            supports = batch[start : start + rows]
+            blocks = gram[supports[:, :, None], supports[:, None, :]] - eye
+            sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+            values = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
+            i = int(np.argmax(values))
+            if values[i] > best:
+                best = float(values[i])
+                witness = tuple(int(j) for j in supports[i])
     return RicEstimate(
         s=s,
         value=best,
@@ -473,12 +500,6 @@ def sampled_ric_lower_bound(
         supports_examined=trials,
         blocks_evaluated=trials,
     )
-
-
-def _sampled_support(n: int, s: int, seed: int, trial: int) -> np.ndarray:
-    """The sorted support of one sampled trial."""
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, trial)))
-    return np.sort(rng.choice(n, size=s, replace=False))
 
 
 def rip_sandwich_check(phi: np.ndarray, x: np.ndarray, delta: float) -> bool:

@@ -7,14 +7,29 @@ draws can run in any order or in parallel.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
+
+# SplitMix64's increment and its two finalizer multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
 
 
 def _splitmix64(x: int) -> int:
-    z = (x + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = (x + _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK
     return z ^ (z >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` of every entry of a uint64 array (numpy wraps mod 2**64)."""
+    z = x + np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_seed(*parts: int) -> int:
@@ -23,3 +38,13 @@ def derive_seed(*parts: int) -> int:
     for p in parts:
         h = _splitmix64(h ^ _splitmix64(int(p) & _MASK))
     return h
+
+
+def derive_seeds(master: int, first: int, count: int) -> np.ndarray:
+    """``derive_seed(master, i)`` for i in [first, first + count), as uint64.
+
+    Both parts are folded to 64 bits as ``derive_seed`` folds them.
+    """
+    head = np.uint64(derive_seed(master))
+    index = np.arange(count, dtype=np.uint64) + np.uint64(first & _MASK)
+    return _splitmix64_array(head ^ _splitmix64_array(index))

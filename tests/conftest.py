@@ -12,8 +12,11 @@ matrices.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pursuitlab import SparseInstance, best_s_term, derive_seed
 
@@ -21,6 +24,19 @@ FRAME_COLS = 16
 FRAME_ROWS = 15
 FRAME_COUNT = 20
 FRAME_STEP = 0.003
+
+# HYPOTHESIS_PROFILE=ci (set in CI) runs the draw and oracle properties with
+# CI_EXAMPLES times their local example counts; the default profile is
+# hypothesis' own.
+HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+CI_EXAMPLES = 5
+settings.register_profile("ci", deadline=None, print_blob=True)
+settings.load_profile(HYPOTHESIS_PROFILE)
+
+
+def examples(local: int) -> int:
+    """A property's max_examples: ``local``, or CI_EXAMPLES times it under ci."""
+    return local * CI_EXAMPLES if HYPOTHESIS_PROFILE == "ci" else local
 
 
 def hadamard(n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pursuitlab import StoppingRule, exact_ric, subspace_pursuit
+from pursuitlab.cli import main
 from pursuitlab.fileio import dump_json, read_matrix, read_vector, recovery_payload, ric_payload
 
 DATA = Path(__file__).parent / "data"
@@ -225,7 +226,7 @@ def test_bound_outputs_match_golden_bytes(tmp_path):
     assert (tmp_path / "bounds_table.csv").read_bytes() == (DATA / "bounds_table.csv").read_bytes()
 
 
-def test_experiment_cli_round_trip(tmp_path):
+def test_experiment_cli_round_trip(tmp_path, capsys):
     cfg = {
         "experiment": "phase-transition",
         "algorithms": ["SP"],
@@ -247,6 +248,27 @@ def test_experiment_cli_round_trip(tmp_path):
 
     out = run_cli("experiment", "--config", str(tmp_path / "missing.json"))
     assert out.returncode == 1
+
+    # Configs of the wrong JSON shape exit 1 with one error line naming the
+    # mistake, not with a traceback; all but the last run in process.
+    bad_shapes = {
+        "config must be a JSON object": [cfg],
+        "'algorithms' must be a list": {**cfg, "algorithms": "SP"},
+        "'grid' must be a list": {**cfg, "grid": cfg["grid"][0]},
+        "each 'grid' entry must be an object": {**cfg, "grid": [1]},
+        "'deltas' must be a list": {"experiment": "bounds-table", "deltas": 0.2, "families": ["sp"]},
+        "each 'families' entry must be a string":
+            {"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
+    }
+    bad_path = tmp_path / "bad.json"
+    for message, bad in bad_shapes.items():
+        bad_path.write_text(json.dumps(bad))
+        assert main(["experiment", "--config", str(bad_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    out = run_cli("experiment", "--config", str(bad_path))
+    assert out.returncode == 1
+    assert out.stderr == "error: each 'families' entry must be a string, got 1\n"
 
     # A cell whose perturbation norm overflows is skipped, without a warning.
     cfg["grid"].append({"m": 12, "N": 24, "s": 2, "noise_sigma": 1e300})

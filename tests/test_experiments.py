@@ -70,6 +70,23 @@ def test_config_validation():
     for threshold in (0.0, -1e-4, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="success_threshold must be positive and finite"):
             ExperimentConfig.from_dict(config_dict(success_threshold=threshold))
+    # JSON of the wrong shape fails with a message that names the field,
+    # not with a TypeError or AttributeError, and a string is not read as
+    # a list of its characters.
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        ExperimentConfig.from_dict([config_dict()])
+    for field, value in (("algorithms", "SP"), ("grid", {"m": 12, "N": 24, "s": 2}),
+                         ("families", "sp"), ("deltas", 0.2)):
+        with pytest.raises(ValueError, match=f"'{field}' must be a list"):
+            ExperimentConfig.from_dict(config_dict(**{field: value}))
+    for raw, message in (
+        (config_dict(grid=[1]), "each 'grid' entry must be an object"),
+        (config_dict(algorithms=["SP", 1]), "each 'algorithms' entry must be a string"),
+        ({"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
+         "each 'families' entry must be a string"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(raw)
 
 
 def test_rows_are_deterministic(tmp_path):

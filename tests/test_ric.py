@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import base_frame
+from conftest import base_frame, examples
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +15,11 @@ from pursuitlab import (
     sampled_ric_lower_bound,
     spectral_norm_symmetric,
 )
+from pursuitlab import ric
+from pursuitlab.draws import bounded, sorted_choices
 from pursuitlab.fileio import ric_payload
 from pursuitlab.ric import _node_bounds, _surviving_leaves
-from pursuitlab.seeding import derive_seed
+from pursuitlab.seeding import derive_seed, derive_seeds
 
 
 def rng(seed=0):
@@ -63,15 +65,22 @@ def reference_exact_ric(phi, s):
     return best, witness
 
 
+def numpy_supports(n, s, seed, first, count):
+    """The oracle: one numpy Generator per trial, as the sampled bound
+    documents its supports."""
+    return np.array([
+        np.sort(np.random.Generator(np.random.PCG64(derive_seed(seed, t))).choice(n, s, replace=False))
+        for t in range(first, first + count)
+    ])
+
+
 def reference_sampled(phi, s, trials, seed):
     """The per-trial sampled bound: one symmetric eigen-solve per trial."""
     gram = phi.T @ phi
-    n = phi.shape[1]
     best = -np.inf
     witness = tuple(range(s))
-    for trial in range(trials):
-        g = np.random.Generator(np.random.PCG64(derive_seed(seed, trial)))
-        support = tuple(int(i) for i in np.sort(g.choice(n, size=s, replace=False)))
+    for row in numpy_supports(phi.shape[1], s, seed, 0, trials):
+        support = tuple(int(i) for i in row)
         value = spectral_norm_symmetric(gram[np.ix_(support, support)] - np.eye(s))
         if value > best:
             best = value
@@ -135,7 +144,7 @@ class TestScreenedEnumeration:
     """exact_ric screens supports by a norm bound; these compare it bit for
     bit with the unscreened scan."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     @given(
         kind=st.sampled_from(MATRIX_KINDS),
         m=st.integers(1, 30),
@@ -169,7 +178,7 @@ class TestScreenedEnumeration:
         assert 1 <= est.blocks_evaluated <= est.supports_examined
         assert 1 <= est.supports_screened <= est.supports_examined
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         kind=st.sampled_from(MATRIX_KINDS),
         m=st.integers(1, 30),
@@ -370,6 +379,120 @@ class TestSampledLowerBound:
         a = sampled_ric_lower_bound(phi, 2, trials=25, seed=9)
         b = sampled_ric_lower_bound(phi, 2, trials=25, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("per_batch", [1, 3, 7])
+    def test_draw_batches_match_per_trial_loop(self, monkeypatch, per_batch):
+        # Draw batches of a few trials: the witness and value must not
+        # depend on where the batches split the trials.
+        phi = gaussian(2, 10, 20)
+        monkeypatch.setattr(ric, "_DRAW_BYTES", 8 * 20 * per_batch)
+        est = sampled_ric_lower_bound(phi, 4, 50, 17)
+        assert_matches_reference(est, reference_sampled(phi, 4, 50, 17))
+
+    @pytest.mark.parametrize("name,value", [
+        ("seed", 1.5), ("seed", "1"), ("trials", 2.5), ("trials", True), ("s", 3.0), ("s", None),
+    ])
+    def test_non_integer_arguments_are_rejected(self, name, value):
+        args = {"s": 3, "trials": 10, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sampled_ric_lower_bound(gaussian(13, 8, 12), **args)
+
+    def test_seed_folds_to_64_bits(self):
+        phi = gaussian(13, 8, 12)
+        for seed, folded in ((-1, 2**64 - 1), (2**64 + 1, 1), (np.int64(-5), 2**64 - 5)):
+            est = sampled_ric_lower_bound(phi, 3, 40, seed)
+            assert est == sampled_ric_lower_bound(phi, 3, 40, folded)
+            assert_matches_reference(est, reference_sampled(phi, 3, 40, seed))
+
+
+@st.composite
+def population_and_size(draw):
+    """(n, s) for both branches of numpy's choice: Floyd's algorithm when
+    n <= 10000 or s <= n // 50, the tail shuffle otherwise.  Above 10000, s
+    stays near the n // 50 boundary so that an example stays fast."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(41, 10_000), st.integers(10_001, 12_000)))
+    if n <= 40:
+        return n, draw(st.integers(1, n))
+    if n <= 10_000:
+        return n, draw(st.integers(1, min(n, 300)))
+    return n, draw(st.integers(n // 50 - 5, n // 50 + 30))
+
+
+SEEDS = st.one_of(
+    st.sampled_from([0, -1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 1]),
+    st.integers(0, 2**32 - 1),  # a single 32-bit entropy word
+    st.integers(2**63, 2**64 - 1),
+    st.integers(-(2**70), 2**70),
+)
+
+
+class TestSampledDraw:
+    """The vectorised draw against one numpy Generator per trial."""
+
+    @settings(max_examples=examples(40), deadline=None)
+    @given(
+        shape=population_and_size(),
+        seed=SEEDS,
+        first=st.one_of(st.integers(0, 10**6), st.just(2**64 - 3)),
+        count=st.integers(1, 12),
+    )
+    @example(shape=(10_001, 200), seed=0, first=0, count=5)  # last Floyd size
+    @example(shape=(10_001, 201), seed=0, first=0, count=5)  # first tail shuffle
+    @example(shape=(1, 1), seed=-1, first=0, count=3)
+    @example(shape=(9, 9), seed=2**32 - 1, first=4, count=3)
+    @example(shape=(500, 1), seed=2**63, first=0, count=4)
+    # Found by search: trial 1675 (Floyd) and trial 3541 (tail shuffle)
+    # redraw a word in Lemire's loop, at bounds 9858 and 9911, while the
+    # trials beside them do not.
+    @example(shape=(10_000, 200), seed=0, first=1674, count=3)
+    @example(shape=(10_001, 201), seed=0, first=3540, count=3)
+    def test_matches_numpy_generator(self, shape, seed, first, count):
+        n, s = shape
+        got = sorted_choices(derive_seeds(seed, first, count), n, s)
+        assert got.dtype == np.intp and got.shape == (count, s)
+        np.testing.assert_array_equal(got, numpy_supports(n, s, seed, first, count))
+
+    def test_derive_seeds_matches_derive_seed(self):
+        for seed in (0, -1, 7, 2**64 + 3):
+            got = derive_seeds(seed, 2**64 - 2, 4)
+            assert got.dtype == np.uint64
+            assert [int(x) for x in got] == [derive_seed(seed, 2**64 - 2 + t) for t in range(4)]
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 6, 2**31, 2**32 - 2])
+    def test_lemire_rejection_loop(self, r):
+        # Crafted words: zeros, which every bound but powers of two rejects,
+        # and random words, of which r = 2**31 rejects about half, so lanes
+        # redraw different numbers of times.  Each lane must return what
+        # numpy's buffered_bounded_lemire_uint32 returns on its words and
+        # use as many of them.
+        g = rng(r)
+        streams = [[0] * k + g.integers(0, 2**32, size=8).tolist() for k in (0, 1, 0, 3, 0, 2)]
+        used = [0] * len(streams)
+
+        def next_uint32(lanes=None):
+            lanes = range(len(streams)) if lanes is None else lanes
+            words = []
+            for lane in lanes:
+                words.append(streams[lane][used[lane]])
+                used[lane] += 1
+            return np.array(words, dtype=np.uint64)
+
+        got = bounded(next_uint32, r, len(streams))
+        for lane, stream in enumerate(streams):
+            words = iter(stream)
+            value, taken = 0, 0
+            if r:
+                span = r + 1
+                m, taken = next(words) * span, 1
+                if m % 2**32 < span:
+                    while m % 2**32 < (2**32 - 1 - r) % span:
+                        m, taken = next(words) * span, taken + 1
+                value = m >> 32
+            assert (int(got[lane]), used[lane]) == (value, taken)
+
+    def test_population_out_of_range(self):
+        with pytest.raises(ValueError):
+            sorted_choices(derive_seeds(0, 0, 2), 2**32, 3)
 
 
 class TestSandwich:
