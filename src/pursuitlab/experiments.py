@@ -68,6 +68,21 @@ ITERATION_COLUMNS = [
 BOUNDS_COLUMNS = ["schema_version", "experiment", "row_index", *BOUND_FIELDS]
 
 
+def _scalar(value, name: str, kind: str):
+    """A config value checked to be of JSON type ``kind``: "integer" (an
+    integral number), "number", "boolean" or "string".  A boolean is not a
+    number, and a string is not converted."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "integer" and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind == "number" and number:
+        return float(value)
+    if (kind == "boolean" and isinstance(value, bool)) or (kind == "string" and isinstance(value, str)):
+        return value
+    article = "an" if kind == "integer" else "a"
+    raise ValueError(f"'{name}' must be {article} {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridCell:
     m: int
@@ -143,22 +158,34 @@ class ExperimentConfig:
                     raise ValueError(f"each '{field}' entry must be {kind}, got {item!r}")
             return value
 
+        def field(source: dict, name: str, kind: str, default=None, where: str = ""):
+            """``source[name]`` checked to be a JSON ``kind``; ``default``
+            when missing, which None makes an error."""
+            if name not in source:
+                if default is None:
+                    raise ValueError(f"missing required field '{name}'{where}")
+                return default
+            return _scalar(source[name], name, kind)
+
         grid = tuple(
-            GridCell(int(c["m"]), int(c["N"]), int(c["s"]), float(c.get("noise_sigma", 0.0)))
+            GridCell(
+                *(field(c, name, "integer", where=" in a 'grid' entry") for name in ("m", "N", "s")),
+                field(c, "noise_sigma", "number", 0.0),
+            )
             for c in listed("grid", [], dict)
         )
         return cls(
-            experiment=raw["experiment"],
+            experiment=field(raw, "experiment", "string"),
             algorithms=tuple(listed("algorithms", [SP], str)),
             grid=grid,
-            trials_per_cell=int(raw.get("trials_per_cell", 1)),
-            master_seed=int(raw.get("master_seed", 0)),
-            output_path=str(raw.get("output_path", default_output)),
-            success_threshold=float(raw.get("success_threshold", 1e-4)),
-            kind=str(raw.get("kind", "exact-sparse")),
-            per_trial=bool(raw.get("per_trial", False)),
-            ric_budget=int(raw.get("ric_budget", DEFAULT_ENUMERATION_BUDGET)),
-            deltas=tuple(float(d) for d in listed("deltas", [])),
+            trials_per_cell=field(raw, "trials_per_cell", "integer", 1),
+            master_seed=field(raw, "master_seed", "integer", 0),
+            output_path=field(raw, "output_path", "string", default_output),
+            success_threshold=field(raw, "success_threshold", "number", 1e-4),
+            kind=field(raw, "kind", "string", "exact-sparse"),
+            per_trial=field(raw, "per_trial", "boolean", False),
+            ric_budget=field(raw, "ric_budget", "integer", DEFAULT_ENUMERATION_BUDGET),
+            deltas=tuple(_scalar(d, "deltas", "number") for d in listed("deltas", [])),
             families=tuple(listed("families", [], str)),
         )
 

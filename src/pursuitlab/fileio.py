@@ -8,6 +8,14 @@ a parsed file reproduces it byte for byte.  Blank lines in the body are
 skipped, and error messages give physical line numbers (the header is
 line 1).
 
+The writers hand the whole array to ``floattext.write_floats``, which
+computes the text of every value on numpy lanes, a chunk at a time, and
+writes it to the file opened in binary mode, so lines end in ``\n`` on
+every platform.  That text is byte for byte Python's ``repr`` (shortest
+round-trip digits, nearest the value; positional for 1e-4 <= |v| < 1e16):
+the tests check it against ``repr`` on random bit patterns and on every
+power of two and of ten, and against golden ``gen`` files.
+
 ``read_matrix`` tries a fast path first: each row is counted (``n - 1``
 commas), converted with ``float()`` per token into a preallocated array,
 and the whole array is checked finite once.  If any of those checks fails,
@@ -16,7 +24,7 @@ first error in file order.  The fast path calls the same ``float()`` on
 the same tokens, so it cannot change a value, and since it only hands over
 to the per-token loop, which checks the same three conditions, it cannot
 change a message either.  Vectors are short and always take the per-token
-loop.  Writers stream one row at a time to the file.
+loop.
 
 Result rows (the ``bounds`` command and every experiment file) go through
 one CSV writer, ``write_rows``: floats in shortest round-trip form,
@@ -36,6 +44,7 @@ from typing import TextIO
 import numpy as np
 
 from .bounds import BoundReport
+from .floattext import write_floats
 from .linalg import as_matrix, as_vector
 from .recovery import RecoveryResult
 from .ric import RicEstimate
@@ -84,10 +93,9 @@ def _fill_rows(body: list[tuple[int, str]], out: np.ndarray) -> bool:
 def write_matrix(path: str | Path, phi: np.ndarray) -> None:
     phi = as_matrix(phi)
     m, n = phi.shape
-    with Path(path).open("w") as f:
-        f.write(f"# dense {m} {n}\n")
-        for row in phi:
-            f.write(",".join(map(repr, row.tolist())) + "\n")
+    with Path(path).open("wb") as f:
+        f.write(f"# dense {m} {n}\n".encode())
+        write_floats(f, phi, n)
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -124,9 +132,9 @@ def read_matrix(path: str | Path) -> np.ndarray:
 
 def write_vector(path: str | Path, v: np.ndarray) -> None:
     v = as_vector(v)
-    with Path(path).open("w") as f:
-        f.write(f"# vector {v.shape[0]}\n")
-        f.writelines(repr(x) + "\n" for x in v.tolist())
+    with Path(path).open("wb") as f:
+        f.write(f"# vector {v.shape[0]}\n".encode())
+        write_floats(f, v, 1)
 
 
 def read_vector(path: str | Path) -> np.ndarray:

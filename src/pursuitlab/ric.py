@@ -22,9 +22,12 @@ such block is a principal submatrix of the node block on T = P + R, so by
 Cauchy interlacing its deviation is at most || G_T - I ||_2.  That norm is
 bounded from above by || A^(2^k) ||_F^(1/2^k) for A = G_T - I, a few
 matrix products, and a subtree whose bound is below the best value already
-solved (the incumbent) is skipped whole.  The incumbent starts from
-supports grown greedily from every column, so most of the tree is skipped
-before the first leaf is reached.
+solved (the incumbent) is skipped whole.  The incumbent starts from seed
+supports: the column with the largest |diagonal| at order 1, the pair
+with the largest screening proxy at order 2, and supports grown greedily
+from every column above that.  So most of the tree is skipped before the
+first leaf is reached, and most supports that reach the screen are
+dropped there rather than solved.
 
 The supports left over reach a per-support screen, which bounds each
 deviation block by || A @ A ||_F^(1/2) = (sum_i lambda_i^4)^(1/4), and by
@@ -285,18 +288,47 @@ def _screen(blocks: np.ndarray, incumbent: float, widen: float) -> np.ndarray:
 
 
 def _greedy_seeds(dev: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Supports grown greedily from every column, with their solved values.
+    """Seed supports, in lexicographic order, with their deviations solved
+    as ``exact_ric`` solves a support.
 
-    Each start column is extended s - 1 times by the column whose enlarged
-    deviation block A has the largest ||A @ A||_F, the screen's proxy.
-    Returns the distinct supports in lexicographic order and their
-    deviations, solved as ``exact_ric`` solves a support.  Orders 1 and 2
-    get no seeds: there the greedy would look at about as many blocks as
-    there are supports.
+    Order 1 has one seed, the column with the largest |diagonal| of the
+    deviation; order 2 one, the pair with the largest ||A @ A||_F (the
+    screen's proxy), found over all pairs at once.  From order 3 on, each
+    start column is extended s - 1 times by the column whose enlarged block
+    A has the largest ||A @ A||_F, and the distinct supports are the seeds.
     """
+    if s == 1:
+        seeds = np.array([[np.argmax(np.abs(np.diagonal(dev)))]], dtype=np.intp)
+    elif s == 2:
+        seeds = np.array([_best_pair(dev)], dtype=np.intp)
+    else:
+        seeds = _grown_seeds(dev, s)
+    return seeds, np.abs(np.linalg.eigvalsh(_blocks(dev, seeds))).max(axis=1)
+
+
+def _best_pair(dev: np.ndarray) -> tuple[int, int]:
+    """The first pair i < j, in lexicographic order, with the largest
+    ||A @ A||_F^2 = (a^2 + c^2)^2 + (b^2 + c^2)^2 + 2 c^2 (a + b)^2 for the
+    block A = [[a, c], [c, b]] on columns i, j; rows of pairs in batches."""
     n = len(dev)
-    if s < 3:
-        return np.empty((0, s), dtype=np.intp), np.empty(0)
+    diag = np.diagonal(dev)
+    best, pair = -np.inf, (0, 1)
+    rows = max(1, _CHUNK_ENTRIES // n)
+    for first in range(0, n - 1, rows):
+        i = np.arange(first, min(first + rows, n - 1))
+        a, b, c = diag[i, None], diag[None, :], dev[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            proxy = (a * a + c * c) ** 2 + (b * b + c * c) ** 2 + 2 * (c * (a + b)) ** 2
+        proxy[np.arange(n) <= i[:, None]] = -np.inf
+        k = int(np.argmax(proxy))
+        if proxy.flat[k] > best:
+            best, pair = proxy.flat[k], (int(i[k // n]), k % n)
+    return pair
+
+
+def _grown_seeds(dev: np.ndarray, s: int) -> np.ndarray:
+    """The distinct supports grown greedily from every column, sorted."""
+    n = len(dev)
     group = max(1, _CHUNK_ENTRIES // (n * s * s))
     grown = []
     for first in range(0, n, group):
@@ -314,8 +346,7 @@ def _greedy_seeds(dev: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
             supports = np.hstack([supports, np.argmax(proxy, axis=1)[:, None]])
         grown.append(supports)
     distinct = {tuple(row) for row in np.sort(np.concatenate(grown), axis=1).tolist()}
-    seeds = np.array(sorted(distinct), dtype=np.intp)
-    return seeds, np.abs(np.linalg.eigvalsh(_blocks(dev, seeds))).max(axis=1)
+    return np.array(sorted(distinct), dtype=np.intp)
 
 
 def _node_bounds(dev: np.ndarray, prefixes: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -41,6 +41,19 @@ def test_gen_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_gen_matches_golden_bytes(tmp_path):
+    # The four files of one seeded gen call, as written by the repr-based
+    # writer: a change in the float text fails here, not only between runs.
+    out = run_cli(
+        "gen", "--kind", "almost-sparse", "--m", "12", "--N", "24", "-s", "3",
+        "--sigma", "0.01", "--seed", "2013", "--out", str(tmp_path / "gen_golden"),
+    )
+    assert out.returncode == 0, out.stderr
+    for suffix in ("_phi.csv", "_y.csv", "_x.csv", "_meta.json"):
+        name = "gen_golden" + suffix
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 def test_gen_rejects_non_finite_sigma(tmp_path):
     # NaN once slipped through as a noiseless instance with NaN in its meta JSON.
     for sigma in ("nan", "inf"):
@@ -257,6 +270,11 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         "'grid' must be a list": {**cfg, "grid": cfg["grid"][0]},
         "each 'grid' entry must be an object": {**cfg, "grid": [1]},
         "'deltas' must be a list": {"experiment": "bounds-table", "deltas": 0.2, "families": ["sp"]},
+        "'trials_per_cell' must be an integer, got [1]": {**cfg, "trials_per_cell": [1]},
+        "'m' must be an integer, got None": {**cfg, "grid": [{**cfg["grid"][0], "m": None}]},
+        "'per_trial' must be a boolean, got 'false'": {**cfg, "per_trial": "false"},
+        "missing required field 'experiment'": {k: v for k, v in cfg.items() if k != "experiment"},
+        "missing required field 'm' in a 'grid' entry": {**cfg, "grid": [{"N": 24, "s": 2}]},
         "each 'families' entry must be a string":
             {"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
     }

@@ -87,6 +87,35 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(raw)
+    # Scalars must have their JSON type: a boolean, string, list or null is
+    # no number, an integer has no fraction (2.7 is not read as 2), and
+    # per_trial is a JSON boolean ("false" is not true).  A missing
+    # required field is named.
+    no_experiment = {k: v for k, v in config_dict().items() if k != "experiment"}
+    for raw, message in (
+        (config_dict(trials_per_cell=[1]), r"'trials_per_cell' must be an integer, got \[1\]"),
+        (config_dict(trials_per_cell=2.7), "'trials_per_cell' must be an integer, got 2.7"),
+        (config_dict(trials_per_cell=True), "'trials_per_cell' must be an integer, got True"),
+        (config_dict(master_seed="7"), "'master_seed' must be an integer, got '7'"),
+        (config_dict(ric_budget=1e3 + 0.5), "'ric_budget' must be an integer"),
+        (config_dict(grid=[{"m": None, "N": 24, "s": 2}]), "'m' must be an integer, got None"),
+        (config_dict(grid=[{"N": 24, "s": 2}]), "missing required field 'm' in a 'grid' entry"),
+        (config_dict(grid=[{"m": 12, "N": 24, "s": 2, "noise_sigma": "0"}]),
+         "'noise_sigma' must be a number, got '0'"),
+        (config_dict(success_threshold=None), "'success_threshold' must be a number, got None"),
+        (config_dict(per_trial="false"), "'per_trial' must be a boolean, got 'false'"),
+        (config_dict(per_trial=1), "'per_trial' must be a boolean, got 1"),
+        (config_dict(output_path=3), "'output_path' must be a string, got 3"),
+        (no_experiment, "missing required field 'experiment'"),
+        ({"experiment": "bounds-table", "deltas": [True], "families": ["sp"]},
+         "'deltas' must be a number, got True"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(raw)
+    # An integral float is an integer.
+    cfg = ExperimentConfig.from_dict(config_dict(trials_per_cell=2.0, grid=[{"m": 12.0, "N": 24, "s": 2}]))
+    assert cfg.trials_per_cell == 2 and cfg.grid[0] == GridCell(12, 24, 2, 0.0)
+    assert isinstance(cfg.trials_per_cell, int) and isinstance(cfg.grid[0].m, int)
 
 
 def test_rows_are_deterministic(tmp_path):

@@ -1,8 +1,10 @@
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import examples
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +18,7 @@ from pursuitlab.fileio import (
     write_vector,
 )
 from pursuitlab import make_instance, subspace_pursuit
+from pursuitlab.floattext import write_floats
 
 
 def rng(seed=0):
@@ -278,3 +281,98 @@ def test_vector_errors_match_reference(tmp_path_factory, v, corrupt):
     header, *data = path.read_text().splitlines()
     _write_corrupted(path, header, data, corrupt)
     assert _outcome(read_vector, path) == _outcome(ref_read_vector, path)
+
+
+# The float text writer against its oracle, repr, which the package itself
+# no longer calls for matrix and vector files.
+
+
+def _repr_text(values, per_line):
+    ends = ["\n" if (i + 1) % per_line == 0 else "," for i in range(len(values))]
+    return "".join(repr(v) + end for v, end in zip(values.tolist(), ends)).encode()
+
+
+def _written(values, per_line=1):
+    stream = io.BytesIO()
+    write_floats(stream, values, per_line)
+    return stream.getvalue()
+
+
+def _finite(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+# Raw bit patterns: uniform ones, and ones with a uniform exponent field and
+# a fraction of a few high bits or none, which give short digit strings,
+# powers of two and the lopsided intervals just above them.
+bit_patterns = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(
+        lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+        st.integers(0, 1),
+        st.integers(0, 2046),
+        st.integers(0, 2**52 - 1).map(lambda f: f & ~(2**44 - 1)) | st.sampled_from([0, 1, 2**52 - 1]),
+    ),
+)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(bits=st.lists(bit_patterns, min_size=1, max_size=40), per_line=st.integers(1, 7))
+def test_float_text_matches_repr_on_bit_patterns(bits, per_line):
+    values = _finite(bits)
+    assume(values.size)
+    assert _written(values, per_line) == _repr_text(values, per_line)
+
+
+def _with_neighbours(values):
+    """Each value and the floats one ulp either side, with both signs."""
+    bits = np.abs(np.array(values, dtype=np.float64)).view(np.uint64)
+    near = np.concatenate([bits - np.uint64(1), bits, bits + np.uint64(1)])
+    return _finite(np.concatenate([near, near | np.uint64(1 << 63)]))
+
+
+def test_float_text_matches_repr_at_the_edges():
+    limits = np.finfo(np.float64)
+    edges = [0.0, 5e-324, limits.smallest_normal - 5e-324, limits.smallest_normal, limits.max]
+    powers_of_two = [2.0**e for e in range(-1074, 1024)]
+    powers_of_ten = [float(f"1e{e}") for e in range(-323, 309)]
+    values = _with_neighbours(edges + powers_of_two + powers_of_ten)
+    assert _written(values) == _repr_text(values, 1)
+    assert _written(np.array([0.0, -0.0, 5e-324, limits.max]), 4) == (
+        b"0.0,-0.0,5e-324,1.7976931348623157e+308\n"
+    )
+
+
+def test_float_text_switches_notation_where_repr_does():
+    # repr is positional from 1e-4 up to below 1e16 and uses an exponent,
+    # with at least two digits, outside; 64 floats either side of each edge.
+    edges = np.array([1e-5, 1e-4, 1e16]).view(np.uint64)
+    steps = np.arange(-64, 65).astype(np.uint64)
+    values = _finite((edges[:, None] + steps).ravel())
+    values = np.concatenate([values, -values])
+    assert _written(values) == _repr_text(values, 1)
+    assert _written(np.array([1e-5, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0]), 5) == (
+        b"1e-05,0.0001,9.999999999999999e-05,1e+16,9999999999999998.0\n"
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(phi=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=finite))
+def test_matrix_and_vector_files_are_repr_text(tmp_path_factory, phi):
+    d = tmp_path_factory.mktemp("text")
+    write_matrix(d / "phi.csv", phi)
+    rows = [",".join(map(repr, row)) for row in phi.tolist()]
+    assert (d / "phi.csv").read_bytes() == "\n".join([f"# dense {phi.shape[0]} {phi.shape[1]}", *rows, ""]).encode()
+    write_vector(d / "v.csv", phi.ravel())
+    lines = [f"# vector {phi.size}", *map(repr, phi.ravel().tolist()), ""]
+    assert (d / "v.csv").read_bytes() == "\n".join(lines).encode()
+
+
+def test_float_text_streams_in_chunks(monkeypatch):
+    # Rows longer than a chunk and chunks that end inside a row give the
+    # same text as one pass.
+    values = rng(4).normal(size=(7, 11)) * 10.0 ** rng(5).integers(-30, 30, size=(7, 11))
+    whole = _written(values, 11)
+    monkeypatch.setattr("pursuitlab.floattext._CHUNK", 5)
+    assert _written(values, 11) == whole == _repr_text(values.ravel(), 11)

@@ -169,6 +169,18 @@ class TestScreenedEnumeration:
     @example(kind="ties", m=20, shape=(18, 5), seed=3)
     @example(kind="rank-one", m=1, shape=(16, 6), seed=4)
     @example(kind="huge-columns", m=25, shape=(17, 5), seed=5)
+    # Orders 1 and 2, which start from one seed each, over tied, repeated,
+    # rank-one and badly scaled columns.
+    @example(kind="gaussian", m=8, shape=(14, 1), seed=6)
+    @example(kind="ties", m=20, shape=(14, 1), seed=7)
+    @example(kind="duplicates", m=10, shape=(13, 1), seed=8)
+    @example(kind="tiny-deviation", m=9, shape=(12, 1), seed=9)
+    @example(kind="gaussian", m=8, shape=(14, 2), seed=10)
+    @example(kind="ties", m=20, shape=(14, 2), seed=11)
+    @example(kind="duplicates", m=10, shape=(13, 2), seed=12)
+    @example(kind="flat-rank-one", m=2, shape=(12, 2), seed=13)
+    @example(kind="huge-columns", m=25, shape=(14, 2), seed=14)
+    @example(kind="tiny-columns", m=7, shape=(2, 2), seed=15)
     def test_matches_unscreened_scan(self, kind, m, shape, seed):
         n, s = shape
         phi = screening_matrix(kind, m, n, seed)
@@ -212,6 +224,17 @@ class TestScreenedEnumeration:
             combos = np.array(below, dtype=np.intp)
             blocks = dev[combos[:, :, None], combos[:, None, :]]
             assert bound >= np.abs(np.linalg.eigvalsh(blocks)).max()
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_low_orders_start_from_a_seed(self, s):
+        # The seed of order 1 (largest |diagonal|) or 2 (largest screen
+        # proxy over all pairs) lifts the incumbent before the first chunk,
+        # so the screen drops nearly every support: a handful of solves
+        # instead of the whole first chunk (120 and 4,096 without a seed).
+        phi = np.random.default_rng(3).normal(size=(60, 120)) / np.sqrt(60)
+        est = exact_ric(phi, s)
+        assert_matches_reference(est, reference_exact_ric(phi, s))
+        assert est.blocks_evaluated <= 5
 
     @pytest.mark.parametrize("m,seed", [(14, 5), (400, 1)])
     def test_late_maximizer(self, m, seed):
