@@ -16,15 +16,16 @@ round-trip digits, nearest the value; positional for 1e-4 <= |v| < 1e16):
 the tests check it against ``repr`` on random bit patterns and on every
 power of two and of ten, and against golden ``gen`` files.
 
-``read_matrix`` tries a fast path first: each row is counted (``n - 1``
-commas), converted with ``float()`` per token into a preallocated array,
-and the whole array is checked finite once.  If any of those checks fails,
-the per-token loop re-scans the rows from the first one and raises the
-first error in file order.  The fast path calls the same ``float()`` on
-the same tokens, so it cannot change a value, and since it only hands over
-to the per-token loop, which checks the same three conditions, it cannot
-change a message either.  Vectors are short and always take the per-token
-loop.
+``read_matrix`` and ``read_vector`` read the file once into padded words
+(``floattext.read_padded``).  When its first line is exactly the header
+and the rest is in the form the writers produce (rows of comma-separated
+tokens in the lane grammar, each ending in a newline),
+``floattext.read_floats`` parses it on numpy lanes, bit for bit as
+``float()``.  Any other file goes to the per-token reader, which decodes
+UTF-8, splits lines as ``str.splitlines`` does and calls ``float()`` on
+each token; it is the only source of error messages.  Text the lanes take
+has no byte that ``splitlines`` or ``float()`` treats specially, so both
+readers give it the same values.
 
 Result rows (the ``bounds`` command and every experiment file) go through
 one CSV writer, ``write_rows``: floats in shortest round-trip form,
@@ -44,7 +45,7 @@ from typing import TextIO
 import numpy as np
 
 from .bounds import BoundReport
-from .floattext import write_floats
+from .floattext import read_floats, read_padded, write_floats
 from .linalg import as_matrix, as_vector
 from .recovery import RecoveryResult
 from .ric import RicEstimate
@@ -72,22 +73,68 @@ def _parse_value(token: str, path: str, line_no: int, field_no: int) -> float:
     return value
 
 
-def _data_lines(lines: list[str]) -> list[tuple[int, str]]:
-    """``(physical line number, text)`` for each non-blank line after the header."""
-    return [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+# Per header kind: the header's form, the noun for its dimensions and the
+# noun for the lines of the body.
+_FORMS = {"dense": ("# dense m N", "dimensions", "data rows"), "vector": ("# vector dim", "dimension", "values")}
 
 
-def _fill_rows(body: list[tuple[int, str]], out: np.ndarray) -> bool:
-    """Fast path: parse ``body`` into ``out``; False if a row needs the per-token scan."""
-    n = out.shape[1]
+def _header(line: str, kind: str, path: str) -> tuple[int, ...]:
+    """The dimensions in header ``line``, which must be exactly canonical."""
+    form, noun, _ = _FORMS[kind]
+    head = line.split()
+    if len(head) != len(form.split()) or head[:2] != ["#", kind]:
+        raise FileFormatError(f"{path}: line 1: expected '{form}' header, got {line!r}")
     try:
-        for i, (_, ln) in enumerate(body):
-            if ln.count(",") != n - 1:
-                return False
-            out[i] = np.fromiter(map(float, ln.split(",")), float, count=n)
+        dims = tuple(int(h) for h in head[2:])
     except ValueError:
-        return False
-    return bool(np.isfinite(out).all())
+        raise FileFormatError(f"{path}: line 1: non-integer {noun} in {line!r}") from None
+    if min(dims) < 1:
+        raise FileFormatError(f"{path}: line 1: {noun} must be positive, got {' x '.join(map(str, dims))}")
+    canonical = " ".join(["#", kind, *map(str, dims)])
+    if line != canonical:
+        raise FileFormatError(f"{path}: line 1: header must be exactly '{canonical}'")
+    return dims
+
+
+def _read_text(path: str, text: np.ndarray, kind: str) -> np.ndarray:
+    """The per-token reader: any text ``float()`` takes, blank lines skipped,
+    and the first error in file order."""
+    try:
+        lines = str(text, "utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        line_no = 1 + int(np.count_nonzero(text[: err.start] == ord("\n")))
+        raise FileFormatError(f"{path}: line {line_no}: not UTF-8 text") from None
+    form, _, body_noun = _FORMS[kind]
+    if not lines:
+        raise FileFormatError(f"{path}: line 1: empty file, expected '{form}' header")
+    dims = _header(lines[0], kind, path)
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(body) != dims[0]:
+        raise FileFormatError(f"{path}: expected {dims[0]} {body_noun}, got {len(body)}")
+    values = []
+    for line_no, ln in body:
+        tokens = ln.split(",") if kind == "dense" else [ln]
+        if len(tokens) != dims[-1] and kind == "dense":
+            raise FileFormatError(f"{path}: line {line_no}: expected {dims[-1]} values, got {len(tokens)}")
+        values += [_parse_value(tok, path, line_no, j) for j, tok in enumerate(tokens, start=1)]
+    return np.array(values, dtype=np.float64).reshape(dims)
+
+
+def _read(path: str | Path, kind: str) -> np.ndarray:
+    path = str(path)
+    with open(path, "rb") as f:
+        words, text = read_padded(f)
+    # A canonical header with dimensions below 10**19 is shorter than 64 bytes.
+    head, newline, _ = text[:64].tobytes().partition(b"\n")
+    try:
+        dims = _header(head.decode("latin-1"), kind, path) if newline else None
+    except FileFormatError:
+        dims = None
+    if dims:
+        values = read_floats(words, len(head) + 1, text.size, dims[0], dims[-1] if kind == "dense" else 1)
+        if values is not None:
+            return values.reshape(dims)
+    return _read_text(path, text, kind)
 
 
 def write_matrix(path: str | Path, phi: np.ndarray) -> None:
@@ -99,35 +146,7 @@ def write_matrix(path: str | Path, phi: np.ndarray) -> None:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    path = str(path)
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}: line 1: empty file, expected '# dense m N' header")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "#" or head[1] != "dense":
-        raise FileFormatError(f"{path}: line 1: expected '# dense m N' header, got {lines[0]!r}")
-    try:
-        m, n = int(head[2]), int(head[3])
-    except ValueError:
-        raise FileFormatError(f"{path}: line 1: non-integer dimensions in {lines[0]!r}") from None
-    if m < 1 or n < 1:
-        raise FileFormatError(f"{path}: line 1: dimensions must be positive, got {m} x {n}")
-    if lines[0] != f"# dense {m} {n}":
-        raise FileFormatError(f"{path}: line 1: header must be exactly '# dense {m} {n}'")
-    body = _data_lines(lines)
-    if len(body) != m:
-        raise FileFormatError(f"{path}: expected {m} data rows, got {len(body)}")
-    out = np.empty((m, n))
-    if _fill_rows(body, out):
-        return out
-    # Slow path: raises the first error in file order.
-    for line_no, ln in body:
-        tokens = ln.split(",")
-        if len(tokens) != n:
-            raise FileFormatError(f"{path}: line {line_no}: expected {n} values, got {len(tokens)}")
-        for j, tok in enumerate(tokens):
-            _parse_value(tok, path, line_no, j + 1)
-    raise AssertionError("unreachable")
+    return _read(path, "dense")
 
 
 def write_vector(path: str | Path, v: np.ndarray) -> None:
@@ -138,25 +157,7 @@ def write_vector(path: str | Path, v: np.ndarray) -> None:
 
 
 def read_vector(path: str | Path) -> np.ndarray:
-    path = str(path)
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}: line 1: empty file, expected '# vector dim' header")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "#" or head[1] != "vector":
-        raise FileFormatError(f"{path}: line 1: expected '# vector dim' header, got {lines[0]!r}")
-    try:
-        dim = int(head[2])
-    except ValueError:
-        raise FileFormatError(f"{path}: line 1: non-integer dimension in {lines[0]!r}") from None
-    if dim < 1:
-        raise FileFormatError(f"{path}: line 1: dimension must be positive, got {dim}")
-    if lines[0] != f"# vector {dim}":
-        raise FileFormatError(f"{path}: line 1: header must be exactly '# vector {dim}'")
-    body = _data_lines(lines)
-    if len(body) != dim:
-        raise FileFormatError(f"{path}: expected {dim} values, got {len(body)}")
-    return np.asarray([_parse_value(ln, path, i, 1) for i, ln in body])
+    return _read(path, "vector")
 
 
 def dump_json(payload: dict) -> str:

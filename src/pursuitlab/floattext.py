@@ -22,13 +22,42 @@ computed on numpy lanes a chunk at a time, in three steps:
    point inserted by shifts of 64-bit words, then exponent and terminator;
    a byte mask of the valid bytes gathers the slots of a chunk.
 
-All steps are exact integer arithmetic, so the text is the same on every
-platform; the words hold it in little-endian byte order.
+``read_floats`` reads such text back, bit for bit as ``float()``, from
+the zero-padded words ``read_padded`` fills: lines of comma-separated
+tokens of at most 24 bytes in the grammar
+``-?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]{1,3})?``, and None for any other text.
+It takes a piece of about _LANES tokens at a time:
+
+1. The separators, by two byte compares, must come in rows of
+   ``per_line``, the last of each a newline.
+2. The 24 bytes up to each token's end come from 4 aligned words; bytes
+   below the token and its sign become "0".  An "e" at byte 19 to 22 ends
+   the mantissa: its digits, "0"s below them, form a fourth word, and the
+   mantissa moves up to the end.  The bytes up to the last "." move up one
+   byte, over it.  Then every byte must be a digit; SWAR turns each word
+   into the value of its 8 digits, which give the mantissa w (19
+   significant digits at most, else ``float()``) and exponent q.
+3. Conversion, after Eisel and Lemire (Lemire 2021).  The table holds g,
+   5**q * 2**-z truncated to 64 bits, so the exact product hi:lo of g and
+   w shifted to its top bit is below the true scaled value by less than
+   w < 2**64.  Unless the 9 bits below the top 54 of hi are all 1 and lo
+   + w carries, that interval holds no point halfway between two doubles;
+   unless lo and those 9 bits are 0 as well, hi:lo is no tie that rounds
+   down to even.  Then the top 54 bits of hi round, half up, to the double
+   nearest the true value.  The other
+   lanes, and those out of the normal range or of the table, take
+   ``float()`` on their token, which is in the grammar, so any correctly
+   rounded parser gives the same double.  Zero gives +-0.
+
+A token outside the grammar, or a non-finite ``float()``, hands the whole
+file back.  All steps are exact integer arithmetic, so text and values are
+the same on every platform; the words hold the text little-endian.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 
@@ -289,3 +318,181 @@ def write_floats(stream, values: np.ndarray, per_line: int) -> None:
         x = flat[start : start + lanes]
         ends = np.arange(start + 1, start + 1 + x.size) % per_line == 0
         stream.write(_format(x, ends * _EXP_ROWS, ws))
+
+
+_PAD = 32  # zero bytes before and after the text in a read_padded buffer
+_LANES = 16384
+_SCAN = 1 << 20
+_Q_MIN, _Q_MAX = -342, 308
+_BYTES = 0x0101010101010101
+_ALL = _U(2**64 - 1)
+_FOUR = np.arange(4)[:, None]
+_SWAR = [(10, 8, 0x00FF * 0x0001000100010001), (100, 16, 0xFFFF * 0x0000000100000001), (10000, 32, 0xFFFFFFFF)]
+
+
+@functools.cache
+def _read_tables() -> dict[str, np.ndarray]:
+    """The reader's tables, built on first use."""
+    t = {}
+    # Per q - _Q_MIN: 5**q = g * 2**z with 2**63 <= g < 2**64, g truncated,
+    # and the exponent field base of its product with a mantissa (below).
+    g, base = [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        p = 5 ** abs(q)
+        z = p.bit_length() - 64 if q >= 0 else -63 - p.bit_length()
+        g.append((p >> z if z > 0 else p << -z) if q >= 0 else (1 << -z) // p)
+        base.append((63 + z + q) % 2**64)
+    t["pow5"], t["base"] = np.array(g, np.uint64), np.array(base, np.uint64)
+    # An "e" alone at byte 3, 4, 5 or 6 of the last word: twice the
+    # exponent's length, by the mask of "e" bytes; then, by that plus 1 if
+    # it is signed, the bytes below its 1 to 3 digits, or none if it has
+    # no digits or 4, so that its "e" fails the digit check.
+    t["exp_len"] = np.zeros(256, np.uint64)
+    t["exp_len"][[8, 16, 32, 64]] = [10, 8, 6, 4]
+    ndig = [i // 2 - 1 - i % 2 for i in range(12)]
+    t["exp_junk"] = np.array([0 if d in (0, 4) else 2**64 - 1 >> 8 * max(d, 0) for d in ndig], np.uint64)
+    for table in t.values():
+        table.flags.writeable = False
+    return t
+
+
+def _bytes_equal(w: np.ndarray, byte: int) -> np.ndarray:
+    """Bit i set where byte i of ``w`` equals ``byte``."""
+    x = w ^ _U(byte * _BYTES)
+    t = (x & _U(0x7F * _BYTES)) + _U(0x7F * _BYTES)
+    t |= x
+    t = ~t & _U(0x80 * _BYTES)
+    t *= _U(0x0002040810204081)  # gathers the top bits of the bytes
+    return t >> _U(56)
+
+
+def _parse(words: np.ndarray, text: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """For the tokens text[starts:ends]: their float64 bits, whether one
+    is outside the grammar, and the mask of those left to ``float()``."""
+    t = _read_tables()
+    length = ends - starts
+    neg = (text.take(starts, mode="wrap") == ord("-")).astype(np.int64)
+    # The 24 bytes up to each token's end, from 4 aligned words; the bytes
+    # below the token and its sign become "0".
+    at = ends + (_PAD - 24)
+    sh = ((at & 7) << 3).view(np.uint64)
+    g = words.take((at >> 3) + _FOUR, mode="wrap")
+    w = np.empty((4, ends.size), np.uint64)
+    np.right_shift(g[:3], sh, out=w[:3])
+    g[1:] <<= _U(64) - sh
+    w[:3] |= g[1:]
+    keep = np.maximum((24 - length + neg) * 8 - _WORD_BITS, 0)
+    w[:3] ^= _ZEROS
+    w[:3] &= _ALL << keep.view(np.uint64)
+    w[:3] ^= _ZEROS
+    # Exponent: its digits, with "0"s below them, go to w[3]; then the
+    # mantissa moves up to the end of the window, over it.
+    explen2 = t["exp_len"].take(_bytes_equal(w[2], ord("e")).view(np.int64), mode="wrap")
+    s = explen2 << _U(2)
+    first = (w[2] >> (_U(72) - s)) & _U(0xFF)
+    eneg = first == ord("-")
+    signed = eneg | (first == ord("+"))
+    np.bitwise_xor(w[2], _ZEROS, out=w[3])
+    w[3] &= t["exp_junk"].take(explen2.view(np.int64) + signed, mode="wrap")
+    w[3] ^= w[2]
+    carry = w[:2] >> (_U(64) - s)
+    w[:3] <<= s
+    w[1:3] |= carry
+    w[0] |= _ZEROS >> (_U(64) - s)
+    # Point: the bytes up to the last "." move up one, over it.
+    dots = _bytes_equal(w[:3], ord(".")) << np.array([[0], [8], [16]], np.uint64)
+    point = (np.bitwise_or.reduce(dots).astype(np.float64).view(np.int64) >> 52) - 1023
+    moved = w[:3] << _U(8)
+    moved[1:] |= w[:2] >> _U(56)
+    moved[0] |= _U(ord("0"))
+    w[:3] ^= moved
+    w[:3] &= _ALL << np.maximum(point * 8 + 8 - _WORD_BITS, 0).view(np.uint64)
+    w[:3] ^= moved
+    frac = point >= 0
+    nfrac = np.where(frac, 23 - point, 0)
+    bad = (length - (explen2 >> _U(1)).view(np.int64) - neg - nfrac - frac < 1) | (frac & (nfrac == 0))
+    bad |= length > 24
+    # Every byte a digit; then 8 digits per word, by SWAR.
+    w ^= _ZEROS
+    x = ((w & _U(0x7F * _BYTES)) + _U(0x76 * _BYTES)) | w
+    bad |= np.bitwise_or.reduce(x) & _U(0x80 * _BYTES) != 0
+    for mul, shift, mask in _SWAR:
+        x = w >> _U(shift)
+        w *= _U(mul)
+        w += x
+        w &= _U(mask)
+    # Mantissa m < 10**19 and exponent q; mn is m shifted to its top bit.
+    m = w[0] * _U(10**16) + w[1] * _U(10**8) + w[2]
+    q = w[3].view(np.int64)
+    np.negative(q, out=q, where=eneg)
+    q -= nfrac + _Q_MIN
+    slow = (w[0] >= _U(1000)) | (q.view(np.uint64) > _U(_Q_MAX - _Q_MIN))
+    g = t["pow5"].take(q, mode="wrap")
+    f = m.astype(np.float64).view(np.int64) >> 52
+    f -= (m >> (f - 1023).view(np.uint64)) == 0
+    mn = m << (1086 - f).view(np.uint64)
+    # hi:lo = mn * g, exact, in 32-bit limbs.
+    a0, a1, b0 = mn & _M32, mn >> _U(32), g & _M32
+    g >>= _U(32)
+    p00, p01, p10 = a0 * b0, a0 * g, a1 * b0
+    mid = (p00 >> _U(32)) + (p01 & _M32) + (p10 & _M32)
+    hi = a1 * g + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
+    lo = (mid << _U(32)) | (p00 & _M32)
+    # The true product lies in [hi:lo, hi:lo + mn): float() takes the lanes
+    # where that interval may hold a rounding boundary, or a tie.
+    low9 = hi & _U(0x1FF)
+    slow |= (low9 == _U(0x1FF)) & (lo + mn < mn)
+    msb = hi >> _U(63)
+    mant = hi >> (msb + _U(9))
+    slow |= (lo == 0) & (low9 == 0) & (mant & _U(3) == 1)
+    mant += mant & _U(1)
+    mant >>= _U(1)
+    e = t["base"].take(q, mode="wrap") + msb + (mant >> _U(53)) + f.view(np.uint64)
+    slow |= e - _U(1) >= _U(2046)
+    slow &= m != 0
+    bits = (e << _U(52)) | (mant & _U(2**52 - 1))
+    bits &= ~(f >> 63).view(np.uint64)  # m = 0 left f = -1
+    bits |= neg.view(np.uint64) << _U(63)
+    return bits, bad.any(), slow
+
+
+def read_padded(f) -> tuple[np.ndarray, np.ndarray]:
+    """``(words, text)``: the bytes of the binary file ``f`` as ``text``, a
+    uint8 view of the little-endian words ``words``, with _PAD zero bytes
+    before and after it.  The file is read once, straight into them."""
+    size = os.fstat(f.fileno()).st_size
+    words = np.zeros((size + 2 * _PAD + 7) // 8, "<u8")
+    text = words.view(np.uint8)[_PAD : _PAD + size]
+    return words, text[: f.readinto(text)]
+
+
+def read_floats(words: np.ndarray, begin: int, end: int, rows: int, per_line: int) -> np.ndarray | None:
+    """The values of the text in bytes [begin, end) of the file that
+    ``read_padded`` read into ``words``: ``rows`` lines of ``per_line``
+    comma-separated tokens in the grammar, of at most 24 bytes each, each
+    line ending in a newline.  None if the text is not of that form or a
+    value is not finite."""
+    text = words.view(np.uint8)[_PAD : _PAD + end]
+    scans = [np.flatnonzero(text[i : i + _SCAN] == 10) + i for i in range(begin, end, _SCAN)]
+    lines = np.concatenate(scans or [[-1]])
+    if lines.size != rows or lines[-1] != end - 1 or 2 * rows * per_line > end - begin:
+        return None
+    out = np.empty(rows * per_line)
+    step = max(1, _LANES // per_line)
+    for r in range(0, rows, step):
+        lo = lines[r - 1] + 1 if r else begin
+        piece = text[lo : lines[min(r + step, rows) - 1] + 1]
+        ends = np.flatnonzero((piece == ord(",")) | (piece == 10)) + lo
+        if ends.size != per_line * min(step, rows - r) or not np.array_equal(ends[per_line - 1 :: per_line], lines[r : r + step]):
+            return None
+        starts = np.concatenate(([lo], ends[:-1] + 1))
+        bits, bad, slow = _parse(words, text, starts, ends)
+        if bad:
+            return None
+        values = out[r * per_line : r * per_line + ends.size]
+        values.view(np.uint64)[:] = bits
+        for i in np.flatnonzero(slow).tolist():
+            values[i] = float(text[starts[i] : ends[i]].tobytes())
+        if not np.isfinite(values).all():
+            return None
+    return out

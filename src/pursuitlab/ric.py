@@ -79,6 +79,11 @@ _NODE_SQUARINGS = 4
 # t^3 per node, the cost of one matrix product).
 _NODE_COST = 3.0
 
+# Trees of fewer supports test no nodes, whose fixed costs outweigh what
+# they skip there: C(12, 8) and C(16, 4) ran 1.5x and 1.2x faster without
+# them, C(14, 6) = 3003 broke even, C(20, 8) ran 2x slower.
+_TREE_MIN_SUPPORTS = 3000
+
 # The screen keeps a support when b * (1 + _SCREEN_SLACK) + _SCREEN_FLOOR is
 # not below the incumbent.  The relative slack covers rounding in the bound
 # and in the eigensolver (exact_ric widens it for orders beyond about 60);
@@ -407,7 +412,8 @@ def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
     vectorised binary search finds a start a' whose node bound is below the
     incumbent, and only the children before a' are kept.  Starts whose
     subtree is too small to repay a node bound (``_NODE_COST``) are not
-    tested.  Prefixes are expanded a batch at a time, depth first, and at
+    tested, nor any node of a tree of fewer than ``_TREE_MIN_SUPPORTS``
+    supports.  Prefixes are expanded a batch at a time, depth first, and at
     depth s - 1 the kept children are the supports themselves.  The stack
     holds the children of at most one batch per depth, so memory does not
     grow with C(N, s).
@@ -422,7 +428,7 @@ def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
             if 1 < math.comb(n - a, s - p)
             and math.comb(n - a, s - p) * s**3 >= _NODE_COST * (p + n - a) ** 3
         ]
-        last_tested.append(max(worth, default=-1))
+        last_tested.append(max(worth, default=-1) if math.comb(n, s) >= _TREE_MIN_SUPPORTS else -1)
     batch = max(1, _CHUNK_ENTRIES // (n * s))
     pending: list[np.ndarray] = []
     pending_rows = 0

@@ -26,8 +26,9 @@ FRAME_COUNT = 20
 FRAME_STEP = 0.003
 
 # HYPOTHESIS_PROFILE=ci (set in CI) runs the draw and oracle properties,
-# the float text writer's check against repr among them, with CI_EXAMPLES
-# times their local example counts; the default profile is hypothesis' own.
+# the float text writer's check against repr and the reader's check of
+# decimal text against float() among them, with CI_EXAMPLES times their
+# local example counts; the default profile is hypothesis' own.
 HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
 CI_EXAMPLES = 5
 settings.register_profile("ci", deadline=None, print_blob=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pursuitlab import StoppingRule, exact_ric, subspace_pursuit
+from pursuitlab import StoppingRule, exact_ric, make_instance, subspace_pursuit
 from pursuitlab.cli import main
 from pursuitlab.fileio import dump_json, read_matrix, read_vector, recovery_payload, ric_payload
 
@@ -52,6 +52,32 @@ def test_gen_matches_golden_bytes(tmp_path):
     for suffix in ("_phi.csv", "_y.csv", "_x.csv", "_meta.json"):
         name = "gen_golden" + suffix
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_golden_files_read_back_bitwise():
+    # The golden gen files parse to the arrays make_instance wrote them from.
+    inst = make_instance("almost-sparse", 12, 24, 3, 0.01, 2013)
+    for got, want in (
+        (read_matrix(DATA / "gen_golden_phi.csv"), inst.phi),
+        (read_vector(DATA / "gen_golden_y.csv"), inst.y),
+        (read_vector(DATA / "gen_golden_x.csv"), inst.x),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_undecodable_file_names_path_and_line(fixture_files):
+    # Byte 0xff on line 3 of the measurements: the error names the file and
+    # the line, where it once printed only the codec's message.
+    y_path = fixture_files / "fix_y.csv"
+    lines = y_path.read_bytes().split(b"\n")
+    y_path.write_bytes(b"\n".join(lines[:2] + [b"0.5\xff"] + lines[3:]))
+    out = run_cli(
+        "recover", "--matrix", str(fixture_files / "fix_phi.csv"),
+        "--measurements", str(y_path), "-s", "3",
+    )
+    assert out.returncode == 1
+    assert out.stderr == f"error: {y_path}: line 3: not UTF-8 text\n"
 
 
 def test_gen_rejects_non_finite_sigma(tmp_path):

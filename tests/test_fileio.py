@@ -18,7 +18,7 @@ from pursuitlab.fileio import (
     write_vector,
 )
 from pursuitlab import make_instance, subspace_pursuit
-from pursuitlab.floattext import write_floats
+from pursuitlab.floattext import read_floats, read_padded, write_floats
 
 
 def rng(seed=0):
@@ -58,6 +58,10 @@ def test_matrix_header_is_exact(tmp_path):
     path.write_text("# vector 2 \n1\n2\n")
     with pytest.raises(FileFormatError, match="exactly"):
         read_vector(path)
+    # A byte-order mark is part of the first line, as the codec leaves it.
+    path.write_bytes("\ufeff# dense 1 1\n1.0\n".encode("utf-8"))
+    with pytest.raises(FileFormatError, match=r"line 1: expected '# dense m N' header, got '\\ufeff# dense 1 1'"):
+        read_matrix(path)
 
 
 def test_matrix_errors_name_line_and_field(tmp_path):
@@ -142,7 +146,7 @@ def _ref_value(token, path, line_no, field_no):
 
 
 def _ref_body(path):
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     return lines[0].split(), [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
 
 
@@ -220,8 +224,99 @@ def test_vector_round_trip_property(tmp_path_factory, v):
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
 
 
-BAD_TOKENS = ["abc", "inf", "-inf", "nan", "", " ", "1e400", "1,5"]
+# Decimal text in the lane grammar -?D+(.D+)?(e[+-]?D{1,3})?: 1 to 25
+# digits, leading zeros included, the point anywhere inside, exponents to
+# +-330.  More than 19 significant digits, an exponent beyond the table and
+# an uncertain rounding send a lane to float().
+@st.composite
+def decimal_tokens(draw):
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(0, len(digits) - 1))
+    text = digits[: len(digits) - point] + ("." + digits[len(digits) - point :] if point else "")
+    if draw(st.booleans()):
+        e = draw(st.integers(-330, 330))
+        sign = "-" if e < 0 else draw(st.sampled_from(["", "+"]))
+        text += "e" + sign + str(abs(e)).zfill(draw(st.integers(1, 3)))
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+HARD_CASES = [
+    "9007199254740993", "2.2250738585072011e-308", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "4.9406564584124654e-324", "1.7976931348623158e308",
+    "-0.0", "0.1", "1e23", "8.98846567431158e307", "179769313486231580793728971405301e276",
+    # A product whose error may carry into the rounding bits, one past the
+    # table, and one that rounds up to a power of two.
+    "-4.218670045617139e-95", "3.046468991643277e-177", "123e-345", "1.99999999999999995",
+]
+
+
+def _lanes(path, rows, per_line):
+    """The lane reader's values for a file of ``rows`` lines, or None."""
+    with open(path, "rb") as f:
+        words, text = read_padded(f)
+    begin = text.tobytes().index(b"\n") + 1
+    return read_floats(words, begin, text.size, rows, per_line)
+
+
+def _check_tokens(path, tokens, per_line):
+    rows = len(tokens) // per_line
+    lines = [",".join(tokens[i * per_line : (i + 1) * per_line]) for i in range(rows)]
+    path.write_text("\n".join([f"# dense {rows} {per_line}", *lines]) + "\n")
+    got, want = _outcome(read_matrix, path), _outcome(ref_read_matrix, path)
+    assert got == want
+    # Text in the grammar, in tokens of at most 24 bytes, never needs the
+    # per-token reader.
+    lanes = _lanes(path, rows, per_line)
+    assert (lanes is None) == (want[0] == "error" or max(map(len, tokens[: rows * per_line])) > 24)
+    if lanes is not None:
+        assert lanes.tobytes() == want[3]
+    path.write_text("\n".join([f"# vector {rows * per_line}", *tokens[: rows * per_line]]) + "\n")
+    assert _outcome(read_vector, path) == _outcome(ref_read_vector, path)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(tokens=st.lists(decimal_tokens(), min_size=12, max_size=12), per_line=st.integers(1, 12))
+def test_decimal_text_matches_float(tmp_path_factory, tokens, per_line):
+    _check_tokens(tmp_path_factory.mktemp("dec") / "a.csv", tokens, per_line)
+
+
+@pytest.mark.parametrize("token", HARD_CASES)
+def test_hard_cases_match_float(tmp_path, token):
+    # Ties, the subnormal and normal edges and the largest double, alone
+    # and between ordinary values.
+    _check_tokens(tmp_path / "a.csv", [token], 1)
+    _check_tokens(tmp_path / "b.csv", ["0.5", token, "-1e-3", token, "12.25", "7"], 3)
+    assert read_vector(tmp_path / "a.csv").tobytes() == np.float64(float(token)).tobytes()
+
+
+@pytest.mark.parametrize("token", [
+    "1.", ".5", "+1", "1E5", "1e", "1e+", "1e1234", "1_0", " 1", "1..2", "--1",
+    "1e5e5", "1-2", "0x1", "1.5e-", "1234567890123456789012345",
+])
+def test_lanes_take_only_the_grammar(tmp_path, token):
+    # The lanes hand back text outside the grammar, or tokens of more than
+    # 24 bytes; the per-token reader then gives the reference's outcome.
+    path = tmp_path / "a.csv"
+    path.write_text(f"# dense 2 2\n0.5,-2.25\n{token},3e-7\n")
+    assert _lanes(path, 2, 2) is None
+    assert _outcome(read_matrix, path) == _outcome(ref_read_matrix, path)
+
+
+def test_overflow_past_the_largest_double_is_an_error(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("# dense 1 2\n1.7976931348623158e308,1.7976931348623159e308\n")
+    with pytest.raises(FileFormatError, match=r"line 2, field 2: value must be finite"):
+        read_matrix(path)
+
+
+# The second line: text float() takes that the lane grammar does not, or
+# that repr would not write; the lanes leave each to the per-token reader.
+BAD_TOKENS = ["abc", "inf", "-inf", "nan", "", " ", "1e400", "1,5",
+              " 1.5", "1_0", "+1", "1.", ".5", "1E5", "1.50", "١٢", "１", "\u00a01.5"]
 CORRUPTIONS = ["token", "drop_field", "extra_field", "drop_row", "extra_row", "none"]
+# Whole-file variants: CRLF line ends; a form feed, file separator, space or
+# byte-order mark inside a data line; no final newline.
+LAYOUTS = ["none", "crlf", "\x0c", "\x1c", " ", "\ufeff", "no_final_newline"]
 
 
 def _corrupt(lines, kind, row, field, token):
@@ -251,15 +346,25 @@ corruption = st.tuples(
     st.integers(0, 5),
     st.sampled_from(BAD_TOKENS),
     st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["", "  ", "\t"])), max_size=3),
+    st.tuples(st.sampled_from(LAYOUTS), st.integers(0, 40)),
 )
 
 
 def _write_corrupted(path, header, data, corrupt):
-    kind, row, field, token, blanks = corrupt
+    kind, row, field, token, blanks, (layout, at) = corrupt
     lines = _corrupt(data, kind, row % len(data), field, token)
-    for at, blank in blanks:
-        lines.insert(at % (len(lines) + 1), blank)
-    path.write_text("\n".join([header] + lines) + "\n")
+    for where, blank in blanks:
+        lines.insert(where % (len(lines) + 1), blank)
+    if len(layout) == 1 and lines:
+        line = lines[row % len(lines)]
+        cut = at % (len(line) + 1)
+        lines[row % len(lines)] = line[:cut] + layout + line[cut:]
+    text = "\n".join([header] + lines) + "\n"
+    if layout == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif layout == "no_final_newline":
+        text = text[:-1]
+    path.write_bytes(text.encode("utf-8"))
 
 
 @settings(max_examples=150, deadline=None)

@@ -275,6 +275,15 @@ class TestScreenedEnumeration:
         est = exact_ric(gaussian(seed, m, 20), 8)
         assert est.supports_screened <= 0.2 * math.comb(20, 8)
 
+    @pytest.mark.parametrize("n,s", [(12, 8), (16, 4)])
+    def test_small_trees_test_no_nodes(self, n, s):
+        # Below _TREE_MIN_SUPPORTS the walk tests no node, so every support
+        # reaches the screen, and the result is still the unscreened one.
+        phi = gaussian(5, 14, n)
+        est = exact_ric(phi, s)
+        assert_matches_reference(est, reference_exact_ric(phi, s))
+        assert est.supports_screened == math.comb(n, s)
+
     @settings(max_examples=60, deadline=None)
     @given(shape=columns_and_order(12), rows=st.integers(1, 40))
     def test_lexicographic_chunks(self, shape, rows):
