@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import TextIO
@@ -66,7 +67,7 @@ def _parse_value(token: str, path: str, line_no: int, field_no: int) -> float:
         raise FileFormatError(
             f"{path}: line {line_no}, field {field_no}: {token.strip()!r} is not a number"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FileFormatError(
             f"{path}: line {line_no}, field {field_no}: value must be finite"
         )
