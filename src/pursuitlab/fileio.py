@@ -112,11 +112,11 @@ def _read_text(path: str, text: np.ndarray, kind: str) -> np.ndarray:
     body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != dims[0]:
         raise FileFormatError(f"{path}: expected {dims[0]} {body_noun}, got {len(body)}")
-    values = []
+    dense, values = kind == "dense", []
     for line_no, ln in body:
-        tokens = ln.split(",") if kind == "dense" else [ln]
-        if len(tokens) != dims[-1] and kind == "dense":
-            raise FileFormatError(f"{path}: line {line_no}: expected {dims[-1]} values, got {len(tokens)}")
+        tokens = ln.split(",") if dense else [ln]
+        if dense and len(tokens) != dims[1]:
+            raise FileFormatError(f"{path}: line {line_no}: expected {dims[1]} values, got {len(tokens)}")
         values += [_parse_value(tok, path, line_no, j) for j, tok in enumerate(tokens, start=1)]
     return np.array(values, dtype=np.float64).reshape(dims)
 
@@ -132,7 +132,7 @@ def _read(path: str | Path, kind: str) -> np.ndarray:
     except FileFormatError:
         dims = None
     if dims:
-        values = read_floats(words, len(head) + 1, text.size, dims[0], dims[-1] if kind == "dense" else 1)
+        values = read_floats(words, len(head) + 1, text.size, dims[0], dims[1] if kind == "dense" else 1)
         if values is not None:
             return values.reshape(dims)
     return _read_text(path, text, kind)
