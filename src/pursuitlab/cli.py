@@ -19,8 +19,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .bounds import COSAMP, SP, SP_DM, SP_LBJ, SP_TAIL, bounds_for, canonical_family, delta_for_rho
 from .experiments import ExperimentConfig, run_experiment, write_results
@@ -130,7 +133,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    instance = make_instance(args.kind, args.m, args.n, args.sparsity, args.sigma, args.seed)
+    # An overflow is an error before any file is written, not a numpy warning.
+    with np.errstate(over="ignore"):
+        instance = make_instance(args.kind, args.m, args.n, args.sparsity, args.sigma, args.seed)
+    if not math.isfinite(instance.e_prime_norm):
+        raise ValueError(f"perturbation norm overflows at --sigma {args.sigma!r}")
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     phi_path = prefix.with_name(prefix.name + "_phi.csv")

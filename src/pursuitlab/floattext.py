@@ -1,4 +1,4 @@
-"""Shortest round-trip text of float64 arrays, byte for byte as ``repr``.
+r"""Shortest round-trip text of float64 arrays, byte for byte as ``repr``.
 
 ``write_floats`` writes the text of a whole array to a binary stream,
 computed on numpy lanes a chunk at a time, in three steps:

@@ -2,11 +2,23 @@
 
 Matrices are plain 2-d ``numpy`` arrays (row-major, real, finite), vectors
 are 1-d arrays.  Everything here is a pure function of its inputs.
+
+``least_squares_on_support`` calls the LAPACK gufuncs that
+``np.linalg.qr(mode="reduced")`` and ``np.linalg.solve`` wrap: ``qr_r_raw``
+(geqrf, in place) and ``qr_reduced`` (orgqr) on the column block, R cut as
+``np.triu`` cuts it, then ``solve1`` (gesv).  The wrappers only check,
+copy and convert arrays that here are already float64 and a fresh copy, so
+the same gufuncs on the same arrays in the same order give the same bits
+(a test pins them).  ``numpy.linalg._umath_linalg`` is private: on a numpy
+without ``qr_r_raw`` the kernel calls the wrappers.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .supports import SupportSet
 
@@ -16,6 +28,9 @@ RANK_TOLERANCE = 1e-12
 
 # Allowed relative asymmetry when a matrix is claimed symmetric.
 SYMMETRY_TOLERANCE = 1e-12
+
+# None on a numpy whose QR gufuncs have other names (see the module docstring).
+_QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None)
 
 
 class SingularSupportError(ValueError):
@@ -51,6 +66,27 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
+def _raising(message: str) -> dict:
+    """``np.errstate`` settings under which a failed gufunc raises ``LinAlgError(message)``."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return {"call": fail, "invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+_QR_ERRORS = _raising("Incorrect argument found while performing QR factorization")
+_SOLVE_ERRORS = _raising("Singular matrix")
+
+
+@functools.lru_cache(maxsize=128)
+def _below_diagonal(k: int) -> np.ndarray:
+    """``np.triu``'s mask for a k x k block: True strictly below the diagonal."""
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> np.ndarray:
     """Minimize ||y - phi z||_2 over vectors z supported on ``t``.
 
@@ -77,12 +113,22 @@ def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> n
             f"column index {t.indices[-1]} out of range for matrix with {phi.shape[1]} columns"
         )
     idx = t.as_array()
-    q, r = np.linalg.qr(phi[:, idx], mode="reduced")
-    diag = np.abs(np.diag(r))
+    block = phi[:, idx]  # a copy, which the gufuncs factor in place
+    if _QR_R_RAW is None:
+        q, r = np.linalg.qr(block, mode="reduced")
+    else:
+        with np.errstate(**_QR_ERRORS):
+            q = _umath_linalg.qr_reduced(block, _QR_R_RAW(block, signature="d->d"), signature="dd->d")
+        r = np.where(_below_diagonal(len(t)), 0.0, block[: len(t)])
+    diag = np.abs(r.diagonal())
     largest = diag.max()
     if largest == 0.0 or diag.min() < RANK_TOLERANCE * largest:
         raise SingularSupportError(t)
-    z[idx] = np.linalg.solve(r, q.T @ y)
+    if _QR_R_RAW is None:
+        z[idx] = np.linalg.solve(r, q.T @ y)
+    else:
+        with np.errstate(**_SOLVE_ERRORS):
+            z[idx] = _umath_linalg.solve1(r, q.T @ y, signature="dd->d")
     return z
 
 

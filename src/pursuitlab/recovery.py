@@ -30,7 +30,9 @@ index arrays, builds three ``SupportSet``s (the ones its record keeps), and
 computes ``y - phi x`` once, for both the residual norm and the next
 correlation.  The kernels are called through the names this module imports,
 where ``perfbench/tracing.py`` times them, so they check their arguments
-again on every call.
+again on every call.  ``least_squares_on_support`` skips the
+``np.linalg.qr``/``np.linalg.solve`` wrappers and calls the LAPACK gufuncs
+they wrap, with their bits (see ``linalg``).
 
 A least-squares solve on the same support as the solve just before it is
 not repeated: the run keeps the last support it solved and that solution,

@@ -92,6 +92,19 @@ def test_gen_rejects_non_finite_sigma(tmp_path):
         assert not list(tmp_path.iterdir())
 
 
+def test_gen_rejects_overflowing_perturbation(tmp_path):
+    # sigma 1e308 overflows ||e'||: gen once wrote all four files, with
+    # "Infinity" in the meta JSON, after a numpy overflow warning.
+    out = run_cli(
+        "gen", "--m", "8", "--N", "16", "-s", "2", "--sigma", "1e308", "--seed", "1",
+        "--out", str(tmp_path / "sub" / "fix"),
+    )
+    assert out.returncode == 1
+    assert out.stderr == "error: perturbation norm overflows at --sigma 1e+308\n"
+    assert out.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_recover_matches_library_bit_for_bit(fixture_files):
     tmp = fixture_files
     out_path = tmp / "rec.json"

@@ -145,15 +145,36 @@ def _ref_value(token, path, line_no, field_no):
     return value
 
 
-def _ref_body(path):
+# Per kind: the header form, the noun of its numbers and how many there are.
+REF_HEADERS = {"dense": ("# dense m N", "dimensions", 2), "vector": ("# vector dim", "dimension", 1)}
+
+
+def _ref_header(path, line, kind):
+    """The dimensions of a first line that is exactly '# <kind> <n>...'."""
+    form, noun, count = REF_HEADERS[kind]
+    words = line.split()
+    if words[:2] != ["#", kind] or len(words) != 2 + count:
+        raise FileFormatError(f"{path}: line 1: expected '{form}' header, got {line!r}")
+    try:
+        dims = [int(w) for w in words[2:]]
+    except ValueError:
+        raise FileFormatError(f"{path}: line 1: non-integer {noun} in {line!r}") from None
+    if not all(d > 0 for d in dims):
+        raise FileFormatError(f"{path}: line 1: {noun} must be positive, got {' x '.join(map(str, dims))}")
+    if line != f"# {kind} " + " ".join(str(d) for d in dims):
+        raise FileFormatError(f"{path}: line 1: header must be exactly '# {kind} {' '.join(map(str, dims))}'")
+    return dims
+
+
+def _ref_body(path, kind):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return lines[0].split(), [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    dims = _ref_header(path, lines[0], kind)
+    return dims, [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
 
 
 def ref_read_matrix(path):
     path = str(path)
-    head, body = _ref_body(path)
-    m, n = int(head[2]), int(head[3])
+    (m, n), body = _ref_body(path, "dense")
     if len(body) != m:
         raise FileFormatError(f"{path}: expected {m} data rows, got {len(body)}")
     rows = []
@@ -167,8 +188,7 @@ def ref_read_matrix(path):
 
 def ref_read_vector(path):
     path = str(path)
-    head, body = _ref_body(path)
-    dim = int(head[2])
+    (dim,), body = _ref_body(path, "vector")
     if len(body) != dim:
         raise FileFormatError(f"{path}: expected {dim} values, got {len(body)}")
     return np.asarray([_ref_value(ln, path, i, 1) for i, ln in body])
@@ -313,7 +333,12 @@ def test_overflow_past_the_largest_double_is_an_error(tmp_path):
 # that repr would not write; the lanes leave each to the per-token reader.
 BAD_TOKENS = ["abc", "inf", "-inf", "nan", "", " ", "1e400", "1,5",
               " 1.5", "1_0", "+1", "1.", ".5", "1E5", "1.50", "١٢", "１", "\u00a01.5"]
-CORRUPTIONS = ["token", "drop_field", "extra_field", "drop_row", "extra_row", "none"]
+# Corruptions of one data line, then of the header: the other kind, a bad
+# token for any word, a word dropped or repeated, a zero or a leading-zero
+# dimension, a byte-order mark before it.
+CORRUPTIONS = ["token", "drop_field", "extra_field", "drop_row", "extra_row", "none",
+               "header_kind", "header_token", "header_drop_field", "header_extra_field",
+               "header_zero", "header_leading_zero", "header_bom"]
 # Whole-file variants: CRLF line ends; a form feed, file separator, space or
 # byte-order mark inside a data line; no final newline.
 LAYOUTS = ["none", "crlf", "\x0c", "\x1c", " ", "\ufeff", "no_final_newline"]
@@ -350,9 +375,33 @@ corruption = st.tuples(
 )
 
 
+def _corrupt_header(header, kind, field, token):
+    """Apply one ``header_*`` corruption to the first line."""
+    words = header.split(" ")
+    dim = 2 + field % (len(words) - 2)
+    if kind == "header_kind":
+        words[1] = {"dense": "vector", "vector": "dense"}[words[1]]
+    elif kind == "header_token":
+        words[field % len(words)] = token
+    elif kind == "header_drop_field":
+        del words[field % len(words)]
+    elif kind == "header_extra_field":
+        words.insert(field % (len(words) + 1), words[dim])
+    elif kind == "header_zero":
+        words[dim] = "0"
+    elif kind == "header_leading_zero":
+        words[dim] = "0" + words[dim]
+    elif kind == "header_bom":
+        return "\ufeff" + header
+    return " ".join(words)
+
+
 def _write_corrupted(path, header, data, corrupt):
     kind, row, field, token, blanks, (layout, at) = corrupt
-    lines = _corrupt(data, kind, row % len(data), field, token)
+    if kind.startswith("header_"):
+        header, lines = _corrupt_header(header, kind, field, token), list(data)
+    else:
+        lines = _corrupt(data, kind, row % len(data), field, token)
     for where, blank in blanks:
         lines.insert(where % (len(lines) + 1), blank)
     if len(layout) == 1 and lines:
@@ -367,7 +416,7 @@ def _write_corrupted(path, header, data, corrupt):
     path.write_bytes(text.encode("utf-8"))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(phi=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=finite),
        corrupt=corruption)
 def test_matrix_errors_match_reference(tmp_path_factory, phi, corrupt):
@@ -378,7 +427,7 @@ def test_matrix_errors_match_reference(tmp_path_factory, phi, corrupt):
     assert _outcome(read_matrix, path) == _outcome(ref_read_matrix, path)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(v=arrays(np.float64, st.integers(1, 6), elements=finite), corrupt=corruption)
 def test_vector_errors_match_reference(tmp_path_factory, v, corrupt):
     path = tmp_path_factory.mktemp("bad") / "v.csv"

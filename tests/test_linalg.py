@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import examples
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuitlab import (
     SingularSupportError,
@@ -7,6 +10,7 @@ from pursuitlab import (
     least_squares_on_support,
     spectral_norm_symmetric,
 )
+from pursuitlab import linalg
 
 
 def rng(seed=0):
@@ -80,6 +84,81 @@ class TestLeastSquares:
         phi = np.zeros((2, 3)) + 1.0
         with pytest.raises(ValueError, match="column index 3 out of range"):
             least_squares_on_support(phi, np.ones(2), SupportSet.from_iterable([0, 3], 4))
+
+
+def wrapper_least_squares(phi, y, t):
+    """The kernel on numpy's public wrappers: the oracle of the gufunc route."""
+    z = np.zeros(phi.shape[1])
+    idx = t.as_array()
+    q, r = np.linalg.qr(phi[:, idx], mode="reduced")
+    diag = np.abs(np.diag(r))
+    largest = diag.max()
+    if largest == 0.0 or diag.min() < linalg.RANK_TOLERANCE * largest:
+        raise SingularSupportError(t)
+    z[idx] = np.linalg.solve(r, q.T @ y)
+    return z
+
+
+def outcome(solver, phi, y, t):
+    """("ok", bytes of z), ("singular", support) or (exception type, message)."""
+    try:
+        return ("ok", solver(phi, y, t).tobytes())
+    except SingularSupportError as err:
+        return ("singular", err.support)
+    except (np.linalg.LinAlgError, ValueError) as err:
+        return (type(err), str(err))
+
+
+@st.composite
+def support_problems(draw):
+    """(phi, y, t) with |t| = k <= m <= 64, square blocks included; y has exact
+    zeros and -0.0; the block may hold a duplicate, a zero or a nearly
+    dependent column; phi is scaled by 1e-160 up to 1e300, y by 1e-300 up to 1e300."""
+    m = draw(st.integers(1, 64))
+    k = draw(st.integers(1, m))
+    n = k + draw(st.integers(0, 3))
+    g = rng(draw(st.integers(0, 2**32 - 1)))
+    phi = g.normal(size=(m, n)) * draw(st.sampled_from([1.0, 1e-160, 1e150, 1e300]))
+    idx = np.sort(g.choice(n, size=k, replace=False))
+    i, j = idx[draw(st.integers(0, k - 1))], idx[draw(st.integers(0, k - 1))]
+    flaw = draw(st.sampled_from(["none", "none", "duplicate", "zero", "near"]))
+    if flaw == "duplicate":
+        phi[:, j] = phi[:, i]
+    elif flaw == "zero":
+        phi[:, j] = 0.0
+    elif flaw == "near" and i != j:
+        phi[:, j] = phi[:, i] * (1.0 + 10.0 ** draw(st.integers(-16, -9)) * g.normal(size=m))
+    y = g.normal(size=m) * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    y[g.random(m) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = draw(st.sampled_from([0.0, -0.0]))
+    return phi, y, SupportSet.from_iterable(idx.tolist(), n)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(problem=support_problems())
+def test_least_squares_is_the_wrappers_bit_for_bit(problem):
+    # The gufunc route calls what np.linalg.qr and np.linalg.solve call, on
+    # the same arrays in the same order: same bits, same sign of zeros, and
+    # the same supports rejected as rank deficient.
+    phi, y, t = problem
+    assert outcome(least_squares_on_support, phi, y, t) == outcome(wrapper_least_squares, phi, y, t)
+
+
+def test_singular_solve_raises_as_numpy_does():
+    r, b = np.zeros((2, 2)), np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.solve(r, b)
+    with pytest.raises(np.linalg.LinAlgError) as got, np.errstate(**linalg._SOLVE_ERRORS):
+        np.linalg._umath_linalg.solve1(r, b, signature="dd->d")
+    assert str(got.value) == str(want.value)
+
+
+def test_wrapper_fallback_gives_the_same_bits(monkeypatch):
+    # A numpy without the qr_r_raw gufunc takes the wrappers.
+    phi, y = rng(30).normal(size=(12, 20)), rng(31).normal(size=12)
+    t = SupportSet.from_iterable([0, 3, 7, 11, 19], 20)
+    want = least_squares_on_support(phi, y, t)
+    monkeypatch.setattr(linalg, "_QR_R_RAW", None)
+    assert least_squares_on_support(phi, y, t).tobytes() == want.tobytes()
 
 
 class TestSpectralNorm:
