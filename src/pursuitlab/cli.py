@@ -121,6 +121,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.per_trial:
         config = dataclasses.replace(config, per_trial=True)
+    out = Path(config.output_path)  # the .trials file shares its directory
+    if not out.parent.is_dir():  # fail before the first cell, not after the last
+        raise ValueError(f"cannot write {out}: no directory {out.parent}")
     cell_rows, detail_rows = run_experiment(config)
     written = write_results(config, cell_rows, detail_rows)
     # A cell is skipped for one algorithm or for all; count each cell once.

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,6 +121,11 @@ class ExperimentConfig:
             return
         if not self.grid:
             raise ValueError("grid must be non-empty")
+        named = [(f, getattr(self, f)) for f in ("trials_per_cell", "master_seed", "ric_budget")]
+        named += [pair for c in self.grid for pair in zip(("m", "N", "s"), (c.m, c.n, c.s))]
+        for name, value in named:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"'{name}' must be an integer, got {value!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
         if not self.algorithms:

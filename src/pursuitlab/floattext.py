@@ -308,11 +308,10 @@ def _format(x: np.ndarray, tail: np.ndarray, ws: np.ndarray) -> np.ndarray:
 
 
 def write_floats(stream, values: np.ndarray, per_line: int) -> None:
-    """Write ``repr`` of each value of the finite float array ``values``,
-    in C order, then ``,``, or a newline after every ``per_line``-th, to
-    the binary ``stream``.  The scratch rows are allocated once per call,
-    a few MB, and reused by every chunk, so no chunk faults in new pages."""
-    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    """Write ``repr`` of each value of a finite C-contiguous float64 array,
+    then ``,``, or a newline after every ``per_line``-th, to the binary
+    ``stream``; its chunks share one set of scratch rows (a few MB), so none faults in new pages."""
+    flat = values.reshape(-1)
     lanes = min(_CHUNK, flat.size)
     ws = _scratch(lanes)
     for start in range(0, flat.size, lanes):

@@ -47,8 +47,9 @@ class SingularSupportError(ValueError):
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-d float array."""
-    m = np.asarray(a, dtype=float)
+    """Validate and return ``a`` as a finite 2-d C-contiguous float array, a
+    copy only if ``a`` is not one: BLAS rounds other layouts differently."""
+    m = np.asarray(a, dtype=float, order="C")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -57,8 +58,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_vector(a) -> np.ndarray:
-    """Validate and return ``a`` as a finite 1-d float array."""
-    v = np.asarray(a, dtype=float)
+    """Validate and return ``a`` as a finite 1-d contiguous float array."""
+    v = np.asarray(a, dtype=float, order="C")
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if not np.isfinite(v).all():

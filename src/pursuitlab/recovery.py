@@ -429,7 +429,7 @@ def audit_iteration(
             f"needs order >= {order}"
         )
 
-    phi, y = instance.phi, instance.y
+    phi, y = as_matrix(instance.phi), as_vector(instance.y)
     n = phi.shape[1]
     x_s = restrict(instance.x, instance.s_support)
     e_norm = instance.e_prime_norm

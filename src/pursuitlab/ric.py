@@ -7,13 +7,11 @@ size-s column Gram block from the identity:
 
 ``exact_ric`` certifies it over every support (restricting to |S| = s
 suffices: any smaller block is a principal submatrix of a size-s block,
-whose deviation dominates).  ``sampled_ric_lower_bound`` scans a random
-subset of supports and therefore never exceeds the exact value.  Trial t
-samples the support that numpy's ``Generator(PCG64(derive_seed(seed,
-t))).choice(N, s, replace=False)`` draws, sorted; ``draws.sorted_choices``
-reproduces those draws bit for bit for a whole batch of trials at once, by
-running numpy's seeding, PCG64 and ``choice`` steps on arrays with one
-lane per trial.
+whose deviation dominates).  ``sampled_ric_lower_bound`` scans seeded
+random supports (its docstring gives the draw).  Both cut their blocks from
+one deviation matrix G - I and solve them with one ``eigvalsh`` call, with
+no symmetrisation, so no support's sampled value can differ from its
+certified one and the sampled bound never exceeds the exact value.
 
 The exhaustive certification walks a tree of supports instead of listing
 them.  A node is a prefix P together with the columns R = {a, ..., N-1}
@@ -137,18 +135,24 @@ class RicEstimate:
         return self.value < 1.0
 
 
-def _checked_gram(phi: np.ndarray) -> np.ndarray:
-    """phi^T phi, rejected when it overflows.
+def _check_order(s, n: int) -> None:
+    if not isinstance(s, numbers.Integral):
+        raise ValueError(f"s must be an integer, got {s!r}")
+    if not 1 <= s <= n:
+        raise ValueError(f"order s={s} out of range for {n} columns")
 
-    ``max``/``min`` propagate inf and NaN without an N x N temporary.
-    """
+
+def _deviation(phi: np.ndarray) -> np.ndarray:
+    """G - I for G = phi^T phi, rejected when G overflows (``max``/``min``
+    propagate inf and NaN without an N x N temporary).  Of a C-contiguous
+    ``phi`` numpy forms G with BLAS ``syrk`` and mirrors one triangle, so G
+    is exactly symmetric (a test pins it) and so is every block dev[S, S]."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = phi.T @ phi
-    if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
-        raise ValueError(
-            "the Gram matrix phi^T phi overflows (non-finite entries); rescale the matrix"
-        )
-    return gram
+        dev = phi.T @ phi
+    if not (np.isfinite(dev.max()) and np.isfinite(dev.min())):
+        raise ValueError("the Gram matrix phi^T phi overflows (non-finite entries); rescale the matrix")
+    dev[np.diag_indices(len(dev))] -= 1.0
+    return dev
 
 
 def _chunk_rows(s: int) -> int:
@@ -220,20 +224,16 @@ def exact_ric(
 
     Raises:
         EnumerationBudgetError: C(N, s) exceeds ``budget``.
-        ValueError: ``s`` is out of range, or phi^T phi overflows.
+        ValueError: ``s`` is not an integer in [1, N], or phi^T phi overflows.
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
-    if not (1 <= s <= n):
-        raise ValueError(f"order s={s} out of range for {n} columns")
+    _check_order(s, n)
     total = math.comb(n, s)
     if total > budget:
         raise EnumerationBudgetError(total, budget)
 
-    # G - I in place: dev[S, S] equals G[S, S] - eye(s) bit for bit, so the
-    # node, seed and support blocks are all cut from one matrix.
-    dev = _checked_gram(phi)
-    dev[np.diag_indices(n)] -= 1.0
+    dev = _deviation(phi)
     seeds, seed_values = _greedy_seeds(dev, s)
     incumbent = float(seed_values.max(initial=-np.inf))
     next_seed = 0
@@ -490,9 +490,10 @@ def sampled_ric_lower_bound(
     folded to 64 bits as ``derive_seed`` folds it (-1 and 2**64 - 1 give
     the same supports).
 
-    Blocks are symmetrised as 0.5 * (B + B^T) and solved in stacks; the
-    maximum is updated on strict improvement only, so the witness is the
-    first trial attaining the value.
+    Blocks are cut from ``exact_ric``'s deviation matrix, not symmetrised,
+    and solved in stacks as ``exact_ric`` solves them, so a support's value
+    is bitwise its certified one; the maximum is updated on strict
+    improvement only, so the witness is the first trial attaining the value.
 
     Raises:
         ValueError: ``s``, ``trials`` or ``seed`` is not an integer
@@ -501,16 +502,14 @@ def sampled_ric_lower_bound(
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
-    for name, value in (("s", s), ("trials", trials), ("seed", seed)):
+    _check_order(s, n)
+    for name, value in (("trials", trials), ("seed", seed)):
         if not isinstance(value, numbers.Integral) or (name == "trials" and isinstance(value, bool)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not (1 <= s <= n):
-        raise ValueError(f"order s={s} out of range for {n} columns")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    gram = _checked_gram(phi)
-    eye = np.eye(s)
+    dev = _deviation(phi)
     best = -np.inf
     witness: tuple[int, ...] = tuple(range(s))
     rows = _chunk_rows(s)
@@ -522,9 +521,7 @@ def sampled_ric_lower_bound(
         batch = sorted_choices(derive_seeds(seed, first, min(draws, trials - first)), n, s)
         for start in range(0, len(batch), rows):
             supports = batch[start : start + rows]
-            blocks = gram[supports[:, :, None], supports[:, None, :]] - eye
-            sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-            values = np.abs(np.linalg.eigvalsh(sym)).max(axis=1)
+            values = np.abs(np.linalg.eigvalsh(_blocks(dev, supports))).max(axis=1)
             i = int(np.argmax(values))
             if values[i] > best:
                 best = float(values[i])

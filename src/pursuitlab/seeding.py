@@ -17,19 +17,13 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """SplitMix64 of a Python int in [0, 2**64), or of every entry of a
+    uint64 array, whose arithmetic wraps mod 2**64 as the masks do."""
     z = (x + _GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * _MIX_1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX_2) & _MASK
     return z ^ (z >> 31)
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` of every entry of a uint64 array (numpy wraps mod 2**64)."""
-    z = x + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-    return z ^ (z >> np.uint64(31))
 
 
 def derive_seed(*parts: int) -> int:
@@ -41,10 +35,8 @@ def derive_seed(*parts: int) -> int:
 
 
 def derive_seeds(master: int, first: int, count: int) -> np.ndarray:
-    """``derive_seed(master, i)`` for i in [first, first + count), as uint64.
-
-    Both parts are folded to 64 bits as ``derive_seed`` folds them.
-    """
+    """``derive_seed(master, i)`` for i in [first, first + count), as uint64;
+    both parts are folded to 64 bits as ``derive_seed`` folds them."""
     head = np.uint64(derive_seed(master))
     index = np.arange(count, dtype=np.uint64) + np.uint64(first & _MASK)
-    return _splitmix64_array(head ^ _splitmix64_array(index))
+    return _splitmix64(head ^ _splitmix64(index))

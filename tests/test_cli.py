@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pursuitlab import StoppingRule, exact_ric, make_instance, subspace_pursuit
+from pursuitlab import StoppingRule, exact_ric, experiments, make_instance, subspace_pursuit
 from pursuitlab.cli import main
 from pursuitlab.fileio import dump_json, read_matrix, read_vector, recovery_payload, ric_payload
 
@@ -343,6 +343,33 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
     out = run_cli("experiment", "--config", str(cfg_path))
     assert out.returncode == 0, out.stderr
     assert "skipped 1 cell(s)" in out.stdout
+
+
+@pytest.mark.parametrize("per_trial", [False, True])
+def test_experiment_checks_output_directory_before_any_cell(tmp_path, capsys, monkeypatch, per_trial):
+    # An output path in a missing directory fails before the first cell runs,
+    # with one error line and no file written, instead of after the last.
+    cells = []
+    run_cell = experiments._run_cell
+    monkeypatch.setattr(experiments, "_run_cell", lambda config, ci: cells.append(ci) or run_cell(config, ci))
+    cfg = {
+        "experiment": "phase-transition",
+        "algorithms": ["SP"],
+        "grid": [{"m": 12, "N": 24, "s": 2}] * 4,
+        "output_path": str(tmp_path / "missing" / "res.csv"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = ["experiment", "--config", str(cfg_path)] + ["--per-trial"] * per_trial
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert cells == []
+    assert out == "" and err == f"error: cannot write {cfg['output_path']}: no directory {tmp_path / 'missing'}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    # With the directory in place the same config runs every cell.
+    (tmp_path / "missing").mkdir()
+    assert main(args) == 0
+    assert cells == [0, 1, 2, 3]
 
 
 def test_stopping_flags_reach_library(fixture_files):

@@ -116,6 +116,27 @@ def test_config_validation():
     cfg = ExperimentConfig.from_dict(config_dict(trials_per_cell=2.0, grid=[{"m": 12.0, "N": 24, "s": 2}]))
     assert cfg.trials_per_cell == 2 and cfg.grid[0] == GridCell(12, 24, 2, 0.0)
     assert isinstance(cfg.trials_per_cell, int) and isinstance(cfg.grid[0].m, int)
+    # from_dict converts JSON numbers before it builds the config; a config
+    # built in Python gets the same integer check, so a float or a bool fails
+    # here, not with a TypeError inside run_experiment or, for a seed of 1.5,
+    # silently as seed 1.
+    good = dict(
+        experiment="phase-transition", algorithms=("SP",), grid=(GridCell(12, 24, 2, 0.0),),
+        trials_per_cell=2, master_seed=1, output_path="out.csv",
+    )
+    for field, value, message in (
+        ("trials_per_cell", 2.5, "'trials_per_cell' must be an integer, got 2.5"),
+        ("trials_per_cell", True, "'trials_per_cell' must be an integer, got True"),
+        ("master_seed", 1.5, "'master_seed' must be an integer, got 1.5"),
+        ("ric_budget", 1e3, "'ric_budget' must be an integer, got 1000.0"),
+        ("grid", (GridCell(8.0, 16, 2, 0.0),), "'m' must be an integer, got 8.0"),
+        ("grid", (GridCell(12, 24.0, 2, 0.0),), "'N' must be an integer, got 24.0"),
+        ("grid", (GridCell(12, 24, True, 0.0),), "'s' must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**good | {field: value})
+    cells, _ = run_experiment(ExperimentConfig(**good | {"master_seed": np.uint64(1)}))
+    assert cells == run_experiment(ExperimentConfig(**good))[0]
 
 
 def test_rows_are_deterministic(tmp_path):

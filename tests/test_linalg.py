@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
 from conftest import examples
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pursuitlab import (
+    RicEstimate,
     SingularSupportError,
+    SparseInstance,
     SupportSet,
+    audit_run,
+    best_s_term,
+    cosamp,
+    exact_ric,
     least_squares_on_support,
+    sampled_ric_lower_bound,
     spectral_norm_symmetric,
+    subspace_pursuit,
 )
 from pursuitlab import linalg
+from pursuitlab.fileio import dump_json, recovery_payload
 
 
 def rng(seed=0):
@@ -159,6 +168,79 @@ def test_wrapper_fallback_gives_the_same_bits(monkeypatch):
     want = least_squares_on_support(phi, y, t)
     monkeypatch.setattr(linalg, "_QR_R_RAW", None)
     assert least_squares_on_support(phi, y, t).tobytes() == want.tobytes()
+
+
+# One layout at the public boundary: as_matrix and as_vector return C-contiguous
+# arrays, copying any other layout, so results depend only on the values.
+
+
+def layouts(a):
+    """``a`` (C-contiguous), an F-ordered copy and a view with a stride of two
+    along the last axis, all holding the same values."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    return [a, np.asfortranarray(a), wide[..., ::2]]
+
+
+def test_as_matrix_and_as_vector_copy_only_other_layouts():
+    a, v = rng(40).normal(size=(5, 7)), rng(41).normal(size=6)
+    assert linalg.as_matrix(a) is a and linalg.as_vector(v) is v
+    for got in [linalg.as_matrix(b) for b in layouts(a)] + [linalg.as_vector(w) for w in layouts(v)]:
+        assert got.flags.c_contiguous
+    assert np.array_equal(linalg.as_matrix(layouts(a)[2]), a)
+    with pytest.raises(ValueError, match=r"got shape \(\)"):
+        linalg.as_vector(1.0)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(m=st.integers(1, 300), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), layout=st.integers(0, 2))
+@example(m=1, n=1, seed=0, layout=2)
+@example(m=300, n=300, seed=0, layout=2)
+@example(m=7, n=300, seed=1, layout=2)
+def test_gram_of_as_matrix_is_bitwise_symmetric(m, n, seed, layout):
+    # The RIC routines solve blocks of this product without symmetrising
+    # them, which is sound only if BLAS returns it exactly symmetric (numpy
+    # takes syrk and mirrors a triangle).  That depends on the platform, so
+    # it is tested here; a strided view multiplied as it is fails it.
+    a = linalg.as_matrix(layouts(rng(seed).normal(size=(m, n)))[layout])
+    gram = a.T @ a
+    assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=examples(20), deadline=None)
+@given(m=st.integers(12, 32), extra=st.integers(0, 12), s=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_results_do_not_depend_on_memory_layout(m, extra, s, seed):
+    # The same values in C order, F order and a strided view give the same
+    # bits in both RIC routines, in SP and CoSaMP runs and in their JSON, and
+    # in the audits of runs with ground truth.
+    g = rng(seed)
+    n = m + extra
+    phi = g.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
+    x = np.zeros(n)
+    x[g.choice(n, s, replace=False)] = g.normal(size=s)
+    e = 1e-3 * g.normal(size=m)
+    y = phi @ x + e
+    # The audit reads only the constant's value; its order covers both algorithms.
+    delta = RicEstimate(4 * s, 0.3, "exact", SupportSet((), n), 0)
+    outputs = []
+    for a, v in zip(layouts(phi), layouts(y)):
+        out = []
+        for est in (exact_ric(a, 3), sampled_ric_lower_bound(a, 3, 200, seed)):
+            out.append((bits(est.value), est.witness))
+        instance = SparseInstance(x, s, a, e, v, best_s_term(x, s)[0], float(np.linalg.norm(e)))
+        for run in (subspace_pursuit, cosamp):
+            result = run(a, v, s)
+            out.append((bits(result.estimate), result.support, bits(result.residual_history),
+                        dump_json(recovery_payload(result))))
+            checks = audit_run(run(a, v, s, truth=x), instance, delta)
+            out.append([(k, c.name, bits(c.lhs), bits(c.rhs), c.holds) for k, c in checks])
+        outputs.append(out)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 class TestSpectralNorm:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,9 @@ class TestExactRic:
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
             exact_ric(np.eye(3), 4)
+        # The same check of s as the sampled bound's, not math.comb's TypeError.
+        with pytest.raises(ValueError, match="s must be an integer, got 2.0"):
+            exact_ric(np.eye(3), 2.0)
 
 
 class TestSampledLowerBound:
@@ -372,10 +376,32 @@ class TestSampledLowerBound:
             assert low.mode == "lower-bound"
 
     def test_exhaustive_sampling_reaches_exact(self):
-        phi = gaussian(12, 6, 6)
-        exact = exact_ric(phi, 2).value
-        low = sampled_ric_lower_bound(phi, 2, trials=500, seed=3)
-        assert low.value == pytest.approx(exact, abs=1e-14)
+        # Blocks of both routines are cut from one deviation matrix and
+        # solved alike, so once the trials draw every support the sampled
+        # value is the certified one, bit for bit.
+        for kind, m, n, s, trials, seed in (
+            ("gaussian", 6, 6, 2, 500, 3),
+            ("gaussian", 9, 10, 3, 2000, 8),
+            ("twice", 12, 8, 3, 1000, 4),  # every column twice: tied supports
+        ):
+            phi = np.hstack([gaussian(seed, m, n // 2)] * 2) if kind == "twice" else gaussian(seed, m, n)
+            drawn = {tuple(row) for row in sorted_choices(derive_seeds(seed, 0, trials), n, s).tolist()}
+            assert len(drawn) == math.comb(n, s)
+            exact = exact_ric(phi, s)
+            low = sampled_ric_lower_bound(phi, s, trials, seed)
+            assert np.float64(low.value).tobytes() == np.float64(exact.value).tobytes()
+
+    def test_huge_gram_entry_is_no_overflow(self):
+        # A Gram entry of 1e308 is finite, and so is its block's value, with
+        # no warning: a sum B + B^T of such a block would overflow to inf.
+        phi = gaussian(5, 4, 6)
+        phi[:, 0] = [1e154, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = sampled_ric_lower_bound(phi, 3, trials=40, seed=1)
+            exact = exact_ric(phi, 3)
+        assert math.isfinite(low.value) and low.value == exact.value
+        assert 0 in low.witness.indices
 
     def test_single_trial_reproducible(self):
         phi = gaussian(13, 8, 12)
