@@ -17,14 +17,17 @@ Kinds:
 * ``bounds-table``     - tabulate rho/tau over a delta grid per family
   (no randomness; uses ``deltas`` and ``families`` instead of the grid).
 
-``run_experiment`` takes the grid one cell at a time: it runs the cell's
-trials, each on one instance shared by the algorithms, then builds the
-cell's rows.  Aggregated rows go to ``output_path``; per-trial (or
-per-iteration, for ``convergence``) rows go alongside it when
-``per_trial`` is set.  Both files stream through ``fileio.write_rows``,
-and ``bounds-table`` rows are ``fileio.bound_row``, as the CLI prints them.
-A cell with a trial whose perturbation norm overflows to inf is marked
-skipped, with its reason, for every algorithm and gets no per-trial rows.
+``run_experiment`` takes the grid one cell at a time, in one loop over the
+cell's trials: each trial derives its seed, draws one instance, runs every
+algorithm on it and keeps each algorithm's trial row (and, for
+``convergence``, its iteration rows); the cell rows are built after the
+loop.  A trial whose perturbation norm overflows to inf ends the loop, and
+the cell is marked skipped, with its reason, for every algorithm and keeps
+no per-trial rows.  Aggregated rows go to ``output_path``; per-trial (or
+per-iteration) rows go alongside it when ``per_trial`` is set.  Both files
+stream through ``fileio.write_rows``, and ``bounds-table`` rows are
+``fileio.bound_row``, as the CLI prints them.  A config built in Python
+gets the type checks of one read from JSON.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,19 +72,24 @@ ITERATION_COLUMNS = [
 BOUNDS_COLUMNS = ["schema_version", "experiment", "row_index", *BOUND_FIELDS]
 
 
-def _scalar(value, name: str, kind: str):
-    """A config value checked to be of JSON type ``kind``: "integer" (an
-    integral number), "number", "boolean" or "string".  A boolean is not a
-    number, and a string is not converted."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "integer" and number and (isinstance(value, int) or value.is_integer()):
-        return int(value)
-    if kind == "number" and number:
-        return float(value)
-    if (kind == "boolean" and isinstance(value, bool)) or (kind == "string" and isinstance(value, str)):
-        return value
-    article = "an" if kind == "integer" else "a"
-    raise ValueError(f"'{name}' must be {article} {kind}, got {value!r}")
+# The JSON type of each config value; list fields name their entries' type.
+_FIELD_TYPES = {
+    "experiment": "string", "output_path": "string", "kind": "string", "per_trial": "boolean",
+    "success_threshold": "number", "trials_per_cell": "integer", "master_seed": "integer",
+    "ric_budget": "integer", "m": "integer", "N": "integer", "s": "integer", "noise_sigma": "number",
+    "algorithms": "string", "families": "string", "deltas": "number",
+}
+_CLASSES = {"integer": numbers.Integral, "number": numbers.Real, "boolean": bool, "string": str}
+
+
+def _check_type(name: str, value) -> None:
+    """Raise unless ``value`` has the JSON type of ``name``.  A boolean is no
+    number, a float no integer (``from_dict`` reads JSON's 2.0 as 2), and a
+    string is not converted."""
+    kind = _FIELD_TYPES[name]
+    if not isinstance(value, _CLASSES[kind]) or (kind != "boolean" and isinstance(value, bool)):
+        article = "an" if kind == "integer" else "a"
+        raise ValueError(f"'{name}' must be {article} {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,14 @@ class ExperimentConfig:
     families: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # A config built in Python gets the type checks of one read from JSON.
+        scalars = ("experiment", "output_path", "kind", "per_trial", "success_threshold",
+                   "trials_per_cell", "master_seed", "ric_budget")
+        named = [(f, getattr(self, f)) for f in scalars]
+        named += [(f, v) for f in ("algorithms", "families", "deltas") for v in getattr(self, f)]
+        named += [pair for c in self.grid for pair in zip(("m", "N", "s", "noise_sigma"), astuple(c))]
+        for name, value in named:
+            _check_type(name, value)
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
         if self.experiment == "bounds-table":
@@ -121,11 +137,6 @@ class ExperimentConfig:
             return
         if not self.grid:
             raise ValueError("grid must be non-empty")
-        named = [(f, getattr(self, f)) for f in ("trials_per_cell", "master_seed", "ric_budget")]
-        named += [pair for c in self.grid for pair in zip(("m", "N", "s"), (c.m, c.n, c.s))]
-        for name, value in named:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"'{name}' must be an integer, got {value!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
         if not self.algorithms:
@@ -164,34 +175,38 @@ class ExperimentConfig:
                     raise ValueError(f"each '{field}' entry must be {kind}, got {item!r}")
             return value
 
-        def field(source: dict, name: str, kind: str, default=None, where: str = ""):
-            """``source[name]`` checked to be a JSON ``kind``; ``default``
-            when missing, which None makes an error."""
+        def field(source: dict, name: str, default=None, where: str = ""):
+            """``source[name]``, whose type the config checks; ``default``
+            when missing, which None makes an error.  JSON has one number
+            type, so an integral float is an integer."""
             if name not in source:
                 if default is None:
                     raise ValueError(f"missing required field '{name}'{where}")
                 return default
-            return _scalar(source[name], name, kind)
+            value = source[name]
+            if _FIELD_TYPES[name] == "integer" and isinstance(value, float) and value.is_integer():
+                return int(value)
+            return value
 
         grid = tuple(
             GridCell(
-                *(field(c, name, "integer", where=" in a 'grid' entry") for name in ("m", "N", "s")),
-                field(c, "noise_sigma", "number", 0.0),
+                *(field(c, name, where=" in a 'grid' entry") for name in ("m", "N", "s")),
+                field(c, "noise_sigma", 0.0),
             )
             for c in listed("grid", [], dict)
         )
         return cls(
-            experiment=field(raw, "experiment", "string"),
+            experiment=field(raw, "experiment"),
             algorithms=tuple(listed("algorithms", [SP], str)),
             grid=grid,
-            trials_per_cell=field(raw, "trials_per_cell", "integer", 1),
-            master_seed=field(raw, "master_seed", "integer", 0),
-            output_path=field(raw, "output_path", "string", default_output),
-            success_threshold=field(raw, "success_threshold", "number", 1e-4),
-            kind=field(raw, "kind", "string", "exact-sparse"),
-            per_trial=field(raw, "per_trial", "boolean", False),
-            ric_budget=field(raw, "ric_budget", "integer", DEFAULT_ENUMERATION_BUDGET),
-            deltas=tuple(_scalar(d, "deltas", "number") for d in listed("deltas", [])),
+            trials_per_cell=field(raw, "trials_per_cell", 1),
+            master_seed=field(raw, "master_seed", 0),
+            output_path=field(raw, "output_path", default_output),
+            success_threshold=field(raw, "success_threshold", 1e-4),
+            kind=field(raw, "kind", "exact-sparse"),
+            per_trial=field(raw, "per_trial", False),
+            ric_budget=field(raw, "ric_budget", DEFAULT_ENUMERATION_BUDGET),
+            deltas=tuple(listed("deltas", [])),
             families=tuple(listed("families", [], str)),
         )
 
@@ -205,71 +220,6 @@ def trials_path(output_path: str | Path) -> Path:
     return p.with_name(p.stem + ".trials" + p.suffix)
 
 
-def _recover(algorithm: str, instance, stop: StoppingRule, with_truth: bool):
-    # Ground truth forces a full trace with per-iteration error norms; only
-    # convergence rows and audits read them.
-    run = subspace_pursuit if algorithm == SP else cosamp
-    truth = instance.x if with_truth else None
-    return run(instance.phi, instance.y, instance.s, stop=stop, truth=truth, trace="none")
-
-
-class _SkippedCell(Exception):
-    """A trial of the cell cannot run; the message is the cell's skip reason."""
-
-
-def _run_trial(
-    config: ExperimentConfig,
-    cell_index: int,
-    trial_index: int,
-    keys: dict[str, dict],
-) -> dict[str, tuple[dict, list[dict]]]:
-    """One (cell, trial) on one instance: per algorithm of ``keys``, its trial
-    row and its iteration rows (``convergence`` only)."""
-    cell = config.grid[cell_index]
-    seed = derive_seed(config.master_seed, cell_index, trial_index)
-    # An overflow is reported as a skipped cell, not as a numpy warning.
-    with np.errstate(over="ignore"):
-        instance = make_instance(config.kind, cell.m, cell.n, cell.s, cell.noise_sigma, seed)
-    if not math.isfinite(instance.e_prime_norm):
-        raise _SkippedCell(f"perturbation norm overflows (trial {trial_index})")
-    stop = StoppingRule(e_prime_norm_hint=instance.e_prime_norm)
-    x_norm = float(np.linalg.norm(instance.x))
-    out = {}
-    for algorithm, key in keys.items():
-        result = _recover(algorithm, instance, stop, config.experiment != "phase-transition")
-        error = float(np.linalg.norm(result.estimate - instance.x))
-        rel_error = error / x_norm if x_norm > 0 else error
-        row = key | {
-            "trial_index": trial_index,
-            "seed": seed,
-            "converged": result.converged,
-            "iterations": len(result.iterations),
-            "final_error": rel_error,
-            "success": rel_error <= config.success_threshold,
-            "audit_violations": None,
-            "certified_delta": None,
-        }
-        iteration_rows = []
-        if config.experiment == "convergence":
-            iteration_rows = [
-                key | {
-                    "trial_index": trial_index,
-                    "iteration": rec.n,
-                    "residual_norm": rec.residual_norm,
-                    "signal_error": rec.signal_error,
-                    "tail_energy": rec.tail_energy,
-                }
-                for rec in result.iterations
-            ]
-        if config.experiment == "audit":
-            delta = exact_ric(instance.phi, certified_order(algorithm, cell.s), budget=config.ric_budget)
-            checks = audit_run(result, instance, delta)
-            row["audit_violations"] = sum(1 for _, chk in checks if not chk.holds)
-            row["certified_delta"] = delta.value
-        out[algorithm] = (row, iteration_rows)
-    return out
-
-
 def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], list[dict]]:
     """Run every trial of one grid cell; returns its cell rows and detail rows."""
     cell = config.grid[cell_index]
@@ -277,66 +227,89 @@ def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], li
     # skipped per algorithm, never silently degraded.
     skipped: dict[str, str] = {}
     if config.experiment == "audit":
-        for algorithm in config.algorithms:
-            order = certified_order(algorithm, cell.s)
+        for alg in config.algorithms:
+            order = certified_order(alg, cell.s)
             if order > cell.n or math.comb(cell.n, order) > config.ric_budget:
-                skipped[algorithm] = "enumeration budget exceeded"
-    keys = {
-        algorithm: {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": config.experiment,
-            "cell_index": cell_index,
-            "algorithm": algorithm,
-        }
-        for algorithm in config.algorithms
-    }
-    active = {a: key for a, key in keys.items() if a not in skipped}
-    runs: dict[str, list[tuple[dict, list[dict]]]] = {a: [] for a in active}
-    # A cell with a trial that cannot run is skipped whole, with no detail
-    # rows; a cell skipped for every algorithm draws no instance.
-    try:
-        for ti in range(config.trials_per_cell if active else 0):
-            for algorithm, run in _run_trial(config, cell_index, ti, active).items():
-                runs[algorithm].append(run)
-    except _SkippedCell as skip:
-        skipped.update(dict.fromkeys(active, str(skip)))
+                skipped[alg] = "enumeration budget exceeded"
+    key = {"schema_version": SCHEMA_VERSION, "experiment": config.experiment, "cell_index": cell_index}
+    head = {alg: key | {"algorithm": alg} for alg in config.algorithms}
+    active = [alg for alg in config.algorithms if alg not in skipped]
+    trial_rows: dict[str, list[dict]] = {alg: [] for alg in active}
+    iteration_rows: dict[str, list[dict]] = {alg: [] for alg in active}
+    # A cell skipped for every algorithm draws no instance.
+    for ti in range(config.trials_per_cell if active else 0):
+        seed = derive_seed(config.master_seed, cell_index, ti)
+        # An overflow is reported as a skipped cell, not as a numpy warning.
+        with np.errstate(over="ignore"):
+            instance = make_instance(config.kind, cell.m, cell.n, cell.s, cell.noise_sigma, seed)
+        if not math.isfinite(instance.e_prime_norm):
+            # The whole cell is skipped and keeps no detail rows.
+            skipped |= dict.fromkeys(active, f"perturbation norm overflows (trial {ti})")
+            break
+        stop = StoppingRule(e_prime_norm_hint=instance.e_prime_norm)
+        x_norm = float(np.linalg.norm(instance.x))
+        # Ground truth forces a full trace with per-iteration error norms; only
+        # convergence rows and audits read them.
+        truth = instance.x if config.experiment != "phase-transition" else None
+        for alg in active:
+            # Looked up at call time, so that a wrapper installed on the module is seen.
+            run = subspace_pursuit if alg == SP else cosamp
+            result = run(instance.phi, instance.y, instance.s, stop=stop, truth=truth, trace="none")
+            error = float(np.linalg.norm(result.estimate - instance.x))
+            rel_error = error / x_norm if x_norm > 0 else error
+            row = head[alg] | {
+                "trial_index": ti, "seed": seed, "converged": result.converged,
+                "iterations": len(result.iterations), "final_error": rel_error,
+                "success": rel_error <= config.success_threshold,
+                "audit_violations": None, "certified_delta": None,
+            }
+            if config.experiment == "audit":
+                delta = exact_ric(instance.phi, certified_order(alg, cell.s), budget=config.ric_budget)
+                violations = sum(not chk.holds for _, chk in audit_run(result, instance, delta))
+                row |= {"audit_violations": violations, "certified_delta": delta.value}
+            trial_rows[alg].append(row)
+            if config.experiment == "convergence":
+                iteration_rows[alg] += [
+                    head[alg] | {
+                        "trial_index": ti, "iteration": rec.n, "residual_norm": rec.residual_norm,
+                        "signal_error": rec.signal_error, "tail_energy": rec.tail_energy,
+                    }
+                    for rec in result.iterations
+                ]
 
     cell_rows: list[dict] = []
     detail_rows: list[dict] = []
-    for algorithm, key in keys.items():
-        row = key | {
+    for alg in config.algorithms:
+        row = head[alg] | {
             "m": cell.m,
             "N": cell.n,
             "s": cell.s,
-            "noise_sigma": cell.noise_sigma,
+            "noise_sigma": float(cell.noise_sigma),
             "kind": config.kind,
             "trials": config.trials_per_cell,
         }
-        if algorithm in skipped:
-            cell_rows.append(row | {"skipped": True, "skip_reason": skipped[algorithm]})
+        if alg in skipped:
+            cell_rows.append(row | {"skipped": True, "skip_reason": skipped[alg]})
             continue
-        trial_rows = [trial for trial, _ in runs[algorithm]]
+        trials = trial_rows[alg]
         row |= {
-            "success_rate": float(np.mean([t["success"] for t in trial_rows])),
-            "median_iterations": float(np.median([t["iterations"] for t in trial_rows])),
-            "mean_final_error": float(np.mean([t["final_error"] for t in trial_rows])),
+            "success_rate": float(np.mean([t["success"] for t in trials])),
+            "median_iterations": float(np.median([t["iterations"] for t in trials])),
+            "mean_final_error": float(np.mean([t["final_error"] for t in trials])),
             "skipped": False,
             "skip_reason": "",
         }
         if config.experiment == "audit":
-            deltas = [t["certified_delta"] for t in trial_rows]
-            threshold = bounds_for(algorithm, 0.0).threshold_rho1
+            deltas = [t["certified_delta"] for t in trials]
+            threshold = bounds_for(alg, 0.0).threshold_rho1
             row |= {
-                "audit_violations": int(sum(t["audit_violations"] for t in trial_rows)),
+                "audit_violations": int(sum(t["audit_violations"] for t in trials)),
                 "certified_delta": float(np.median(deltas)),
-                "delta_order": certified_order(algorithm, cell.s),
+                "delta_order": certified_order(alg, cell.s),
                 "below_threshold": all(d < threshold for d in deltas),
             }
         cell_rows.append(row)
-        if config.experiment == "convergence":
-            detail_rows.extend(r for _, iteration_rows in runs[algorithm] for r in iteration_rows)
-        else:
-            detail_rows.extend(trial_rows)
+        detail_rows += iteration_rows[alg] if config.experiment == "convergence" else trials
     return cell_rows, detail_rows
 
 
@@ -358,10 +331,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     return cell_rows, detail_rows
 
 
-def detail_columns(experiment: str) -> list[str]:
-    return ITERATION_COLUMNS if experiment == "convergence" else TRIAL_COLUMNS
-
-
 def write_results(config: ExperimentConfig, cell_rows: list[dict], detail_rows: list[dict]) -> list[Path]:
     """Persist result rows; returns the paths written."""
     out = Path(config.output_path)
@@ -370,7 +339,8 @@ def write_results(config: ExperimentConfig, cell_rows: list[dict], detail_rows: 
     else:
         files = [(out, cell_rows, CELL_COLUMNS)]
         if config.per_trial:
-            files.append((trials_path(out), detail_rows, detail_columns(config.experiment)))
+            columns = ITERATION_COLUMNS if config.experiment == "convergence" else TRIAL_COLUMNS
+            files.append((trials_path(out), detail_rows, columns))
     for path, rows, columns in files:
         with open(path, "w", newline="") as fh:
             write_rows(fh, rows, columns)

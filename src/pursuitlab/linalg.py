@@ -16,6 +16,7 @@ without ``qr_r_raw`` the kernel calls the wrappers.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -65,6 +66,19 @@ def as_vector(a) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
+
+
+def check_integer(value, name: str, low: int | None = None, high: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer, neither a bool nor
+    a float, in [low, high] (open where None; ``high`` needs ``low``).  Only
+    ``isinstance`` tests and comparisons: every top-k selection calls it.
+    ``int`` is tested before the ``Integral`` ABC, which costs 10-20x more."""
+    at_least = f" >= {low}" if high is None and low is not None else ""
+    integer = isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+    if not integer or (at_least and value < low):
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name}={value} out of range [{low}, {high}]")
 
 
 def _raising(message: str) -> dict:

@@ -54,14 +54,13 @@ reported violation means a bug, not bad luck.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import COSAMP, SP, bounds_for
-from .linalg import SingularSupportError, as_matrix, as_vector, least_squares_on_support
+from .linalg import SingularSupportError, as_matrix, as_vector, check_integer, least_squares_on_support
 from .ric import RicEstimate
 from .signals import SparseInstance, best_s_term, restrict, top_k_magnitude
 from .supports import SupportSet
@@ -90,8 +89,7 @@ class StoppingRule:
     epsilon_abs: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        check_integer(self.n_max, "n_max", 1)
         for name in ("epsilon", "e_prime_norm_hint", "epsilon_abs"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -239,10 +237,9 @@ def _run(
     m, n = phi.shape
     if y.shape[0] != m:
         raise ValueError(f"measurement length {y.shape[0]} != matrix rows {m}")
+    check_integer(s, "s", 1, n)
     pick = s if algorithm == SP else 2 * s
     merged_cap = merged_size(algorithm, s)
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity s={s} out of range for {n} columns")
     if merged_cap > m:
         raise ValueError(
             f"{algorithm} needs {merged_cap} <= m for full-rank least squares, "

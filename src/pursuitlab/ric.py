@@ -43,14 +43,13 @@ restricted isometry at that order (some block is singular or worse).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # ``spectral_norm_symmetric`` is not called here; it stays importable from this
 # module because tracing tools wrap it at this import site.
-from .linalg import as_matrix, as_vector, spectral_norm_symmetric  # noqa: F401
+from .linalg import as_matrix, as_vector, check_integer, spectral_norm_symmetric  # noqa: F401
 from .draws import sorted_choices
 from .seeding import derive_seeds
 from .supports import SupportSet
@@ -133,13 +132,6 @@ class RicEstimate:
     def rip_holds(self) -> bool:
         """Whether the matrix has a restricted isometry at this order."""
         return self.value < 1.0
-
-
-def _check_order(s, n: int) -> None:
-    if not isinstance(s, numbers.Integral):
-        raise ValueError(f"s must be an integer, got {s!r}")
-    if not 1 <= s <= n:
-        raise ValueError(f"order s={s} out of range for {n} columns")
 
 
 def _deviation(phi: np.ndarray) -> np.ndarray:
@@ -228,7 +220,7 @@ def exact_ric(
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
-    _check_order(s, n)
+    check_integer(s, "s", 1, n)
     total = math.comb(n, s)
     if total > budget:
         raise EnumerationBudgetError(total, budget)
@@ -496,18 +488,15 @@ def sampled_ric_lower_bound(
     improvement only, so the witness is the first trial attaining the value.
 
     Raises:
-        ValueError: ``s``, ``trials`` or ``seed`` is not an integer
-            (``trials`` not a bool either), ``s`` or ``trials`` is out of
-            range, or phi^T phi overflows.
+        ValueError: ``s``, ``trials`` or ``seed`` is not an integer (a
+            bool is not one), ``s`` or ``trials`` is out of range, or
+            phi^T phi overflows.
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
-    _check_order(s, n)
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, numbers.Integral) or (name == "trials" and isinstance(value, bool)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_integer(s, "s", 1, n)
+    check_integer(trials, "trials", 1)
+    check_integer(seed, "seed")
 
     dev = _deviation(phi)
     best = -np.inf

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vector, check_integer
 from .supports import SupportSet
 
 # Generated nonzeros have magnitude in [NONZERO_MIN, 1]; keeping them away
@@ -66,8 +66,7 @@ def top_k_magnitude(x: np.ndarray, k: int) -> SupportSet:
     deterministic and identical across platforms.
     """
     x = as_vector(x)
-    if k < 0 or k > x.shape[0]:
-        raise ValueError(f"k={k} out of range for vector of dim {x.shape[0]}")
+    check_integer(k, "k", 0, x.shape[0])
     # Stable sort on -|x| keeps ascending index order within tied magnitudes.
     order = np.argsort(-np.abs(x), kind="stable")
     return SupportSet.from_sorted(np.sort(order[:k]), x.shape[0])
@@ -101,6 +100,8 @@ def make_instance(
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    for name, value in (("m", m), ("N", n), ("s", s)):
+        check_integer(value, name)
     if not (1 <= s <= m <= n):
         raise ValueError(f"need 1 <= s <= m <= N, got s={s}, m={m}, N={n}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):

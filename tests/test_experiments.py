@@ -1,11 +1,27 @@
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from pursuitlab import ExperimentConfig, GridCell, run_experiment, write_results
+from pursuitlab import (
+    ExperimentConfig,
+    GridCell,
+    StoppingRule,
+    audit_run,
+    bounds_for,
+    cosamp,
+    exact_ric,
+    make_instance,
+    run_experiment,
+    subspace_pursuit,
+    write_results,
+)
 from pursuitlab.experiments import trials_path
+from pursuitlab.fileio import SCHEMA_VERSION, bound_row
+from pursuitlab.recovery import certified_order
 from pursuitlab.seeding import derive_seed
 
 
@@ -132,9 +148,29 @@ def test_config_validation():
         ("grid", (GridCell(8.0, 16, 2, 0.0),), "'m' must be an integer, got 8.0"),
         ("grid", (GridCell(12, 24.0, 2, 0.0),), "'N' must be an integer, got 24.0"),
         ("grid", (GridCell(12, 24, True, 0.0),), "'s' must be an integer, got True"),
+        # Every other field gets from_dict's type check too, so a bad value
+        # fails here, not with a TypeError, or at write_results after every
+        # cell has run, or (for per_trial) silently as true.
+        ("grid", (GridCell(12, 24, 2, "0"),), "'noise_sigma' must be a number, got '0'"),
+        ("success_threshold", "1e-4", "'success_threshold' must be a number, got '1e-4'"),
+        ("per_trial", "no", "'per_trial' must be a boolean, got 'no'"),
+        ("output_path", 3, "'output_path' must be a string, got 3"),
+        ("experiment", 3, "'experiment' must be a string, got 3"),
+        ("kind", None, "'kind' must be a string, got None"),
+        ("algorithms", ("SP", 1), "'algorithms' must be a string, got 1"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**good | {field: value})
+    bounds_table = dict(good, experiment="bounds-table", grid=(), deltas=(0.2,), families=("sp",))
+    for field, value, message in (
+        ("deltas", ("0.2",), "'deltas' must be a number, got '0.2'"),
+        ("families", (1,), "'families' must be a string, got 1"),
+        ("output_path", 3, "'output_path' must be a string, got 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bounds_table | {field: value})
+    # Any real number is a number, numpy's included.
+    ExperimentConfig(**good | {"grid": (GridCell(12, 24, 2, np.float32(0.5)),), "success_threshold": 1})
     cells, _ = run_experiment(ExperimentConfig(**good | {"master_seed": np.uint64(1)}))
     assert cells == run_experiment(ExperimentConfig(**good))[0]
 
@@ -307,3 +343,121 @@ def test_config_json_round_trip(tmp_path):
     cfg = ExperimentConfig.from_json_file(path)
     assert cfg.grid == (GridCell(12, 24, 2, 0.0),)
     assert cfg.master_seed == 7
+
+
+def test_python_and_json_configs_write_the_same_bytes(tmp_path):
+    # noise_sigma is written as a float however the config was built: a
+    # Python GridCell(12, 24, 2, 0) once wrote "0" where its JSON twin
+    # wrote "0.0".
+    raw = config_dict(
+        experiment="convergence", algorithms=["SP", "CoSaMP"], trials_per_cell=2, per_trial=True,
+        grid=[{"m": 12, "N": 24, "s": 2, "noise_sigma": 0}, {"m": 16, "N": 24, "s": 2, "noise_sigma": 1}],
+    )
+    built = ExperimentConfig(
+        "convergence", ("SP", "CoSaMP"), (GridCell(12, 24, 2, 0), GridCell(16, 24, 2, 1)), 2, 7,
+        str(tmp_path / "built.csv"), per_trial=True,
+    )
+    twin = ExperimentConfig.from_dict(json.loads(json.dumps(raw | {"output_path": str(tmp_path / "j.csv")})))
+    written = [write_results(cfg, *run_experiment(cfg)) for cfg in (built, twin)]
+    assert len(written[0]) == 2
+    for ours, theirs in zip(*written):
+        assert ours.read_bytes() == theirs.read_bytes()
+    assert b",12,24,2,0.0,exact-sparse," in written[0][0].read_bytes()
+
+
+def reference_run(cfg):
+    """``run_experiment``'s rows rebuilt from the library calls, one
+    algorithm and one trial at a time."""
+    if cfg.experiment == "bounds-table":
+        pairs = itertools.product(cfg.families, cfg.deltas)
+        head = {"schema_version": SCHEMA_VERSION, "experiment": cfg.experiment}
+        return [head | {"row_index": i} | bound_row(bounds_for(f, d)) for i, (f, d) in enumerate(pairs)], []
+    cells, details = [], []
+    for ci, cell in enumerate(cfg.grid):
+        instances, overflow = [], None
+        for ti in range(cfg.trials_per_cell):
+            seed = derive_seed(cfg.master_seed, ci, ti)
+            with np.errstate(over="ignore"):
+                inst = make_instance(cfg.kind, cell.m, cell.n, cell.s, cell.noise_sigma, seed)
+            if not math.isfinite(inst.e_prime_norm):
+                overflow = f"perturbation norm overflows (trial {ti})"
+                break
+            instances.append((seed, inst))
+        for alg in cfg.algorithms:
+            key = {"schema_version": SCHEMA_VERSION, "experiment": cfg.experiment, "cell_index": ci}
+            key["algorithm"] = alg
+            row = key | {"m": cell.m, "N": cell.n, "s": cell.s, "noise_sigma": float(cell.noise_sigma),
+                         "kind": cfg.kind, "trials": cfg.trials_per_cell}
+            order = certified_order(alg, cell.s)
+            if cfg.experiment == "audit" and math.comb(cell.n, order) > cfg.ric_budget:
+                cells.append(row | {"skipped": True, "skip_reason": "enumeration budget exceeded"})
+                continue
+            if overflow:
+                cells.append(row | {"skipped": True, "skip_reason": overflow})
+                continue
+            trials = []
+            for ti, (seed, inst) in enumerate(instances):
+                run = subspace_pursuit if alg == "SP" else cosamp
+                truth = None if cfg.experiment == "phase-transition" else inst.x
+                stop = StoppingRule(e_prime_norm_hint=inst.e_prime_norm)
+                result = run(inst.phi, inst.y, inst.s, stop=stop, truth=truth)
+                error = float(np.linalg.norm(result.estimate - inst.x)) / float(np.linalg.norm(inst.x))
+                trial = key | {"trial_index": ti, "seed": seed, "converged": result.converged,
+                               "iterations": len(result.iterations), "final_error": error,
+                               "success": error <= cfg.success_threshold,
+                               "audit_violations": None, "certified_delta": None}
+                if cfg.experiment == "audit":
+                    delta = exact_ric(inst.phi, order)
+                    checks = audit_run(result, inst, delta)
+                    violations = sum(not c.holds for _, c in checks)
+                    trial |= {"audit_violations": violations, "certified_delta": delta.value}
+                trials.append(trial)
+                if cfg.experiment == "convergence":
+                    details += [
+                        key | {"trial_index": ti, "iteration": rec.n, "residual_norm": rec.residual_norm,
+                               "signal_error": rec.signal_error, "tail_energy": rec.tail_energy}
+                        for rec in result.iterations
+                    ]
+            if cfg.experiment != "convergence":
+                details += trials
+            row |= {
+                "success_rate": float(np.mean([t["success"] for t in trials])),
+                "median_iterations": float(np.median([t["iterations"] for t in trials])),
+                "mean_final_error": float(np.mean([t["final_error"] for t in trials])),
+                "skipped": False, "skip_reason": "",
+            }
+            if cfg.experiment == "audit":
+                deltas = [t["certified_delta"] for t in trials]
+                threshold = bounds_for(alg, 0.0).threshold_rho1
+                row |= {"audit_violations": sum(t["audit_violations"] for t in trials),
+                        "certified_delta": float(np.median(deltas)), "delta_order": order,
+                        "below_threshold": all(d < threshold for d in deltas)}
+            cells.append(row)
+    return cells, details
+
+
+@pytest.mark.parametrize("experiment", ["phase-transition", "convergence", "audit", "bounds-table"])
+def test_rows_match_the_library_calls(experiment):
+    # Pins the engine's cell, trial and iteration rows to the library calls
+    # they come from, on this machine's BLAS.  Cell 1 is over the audit
+    # budget for CoSaMP (comb(16, 8) = 12870 > 10000) but not for SP, and
+    # cell 2's noise overflows.
+    grid = [
+        {"m": 12, "N": 14, "s": 2, "noise_sigma": 1e-3},
+        {"m": 16, "N": 16, "s": 2, "noise_sigma": 0.0},
+        {"m": 12, "N": 14, "s": 2, "noise_sigma": 1e300},
+        {"m": 14, "N": 14, "s": 3, "noise_sigma": 0.0},
+    ]
+    orders = (["SP", "CoSaMP"], ["CoSaMP", "SP"])
+    for algorithms, kind in itertools.product(orders, ("exact-sparse", "almost-sparse")):
+        raw = config_dict(experiment=experiment, algorithms=algorithms, kind=kind, grid=grid,
+                          trials_per_cell=3, ric_budget=10000, deltas=[0.0, 0.3], families=["sp", "cosamp"])
+        cfg = ExperimentConfig.from_dict(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells, details = run_experiment(cfg)
+        assert (cells, details) == reference_run(cfg)
+        if experiment == "audit":
+            assert [r["skip_reason"] for r in cells if r["cell_index"] == 1] == [
+                "enumeration budget exceeded" if a == "CoSaMP" else "" for a in algorithms
+            ]

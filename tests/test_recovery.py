@@ -385,10 +385,19 @@ def test_preconditions():
         for name in ("epsilon", "e_prime_norm_hint", "epsilon_abs"):
             with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
                 StoppingRule(**{name: bad})
-    for bad in (2.5, 3.0, "7"):
+    for bad in (2.5, 3.0, "7", True):
         with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
             StoppingRule(n_max=bad)
     assert StoppingRule(n_max=np.int64(3)).n_max == 3
+    # s is checked at the entry point, not by a TypeError inside top-k, and
+    # True is not read as s = 1.
+    phi = rng(3).normal(size=(12, 24))
+    for run in (subspace_pursuit, cosamp):
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match=f"s must be an integer, got {bad}"):
+                run(phi, np.zeros(12), bad)
+        with pytest.raises(ValueError, match="s=0 out of range"):
+            run(phi, np.zeros(12), 0)
 
 
 @pytest.mark.parametrize("name,run", ALGORITHMS)

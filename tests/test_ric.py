@@ -364,6 +364,8 @@ class TestExactRic:
         # The same check of s as the sampled bound's, not math.comb's TypeError.
         with pytest.raises(ValueError, match="s must be an integer, got 2.0"):
             exact_ric(np.eye(3), 2.0)
+        with pytest.raises(ValueError, match="s must be an integer, got True"):
+            exact_ric(np.eye(3), True)
 
 
 class TestSampledLowerBound:
@@ -448,7 +450,8 @@ class TestSampledLowerBound:
         assert_matches_reference(est, reference_sampled(phi, 4, 50, 17))
 
     @pytest.mark.parametrize("name,value", [
-        ("seed", 1.5), ("seed", "1"), ("trials", 2.5), ("trials", True), ("s", 3.0), ("s", None),
+        ("seed", 1.5), ("seed", "1"), ("seed", True), ("trials", 2.5), ("trials", True), ("s", 3.0),
+        ("s", None), ("s", True),
     ])
     def test_non_integer_arguments_are_rejected(self, name, value):
         args = {"s": 3, "trials": 10, "seed": 1, name: value}

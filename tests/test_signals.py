@@ -56,6 +56,11 @@ class TestTopK:
         assert len(top_k_magnitude(np.ones(3), 0)) == 0
         with pytest.raises(ValueError):
             top_k_magnitude(np.ones(3), 4)
+        # A count is an integer: not an integral float, not a bool.
+        for bad in (2.0, True, None):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                top_k_magnitude(np.ones(3), bad)
+        assert top_k_magnitude(np.ones(3), np.int64(2)).indices == (0, 1)
 
 
 class TestBestSTerm:
@@ -125,3 +130,6 @@ class TestMakeInstance:
                 make_instance("exact-sparse", 4, 8, 2, sigma, 0)
         with pytest.raises(ValueError):
             make_instance("dense", 4, 8, 2, 0.0, 0)
+        for name, args in (("m", (24.0, 24, 2)), ("N", (4, 8.0, 2)), ("s", (4, 8, True))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+                make_instance("exact-sparse", *args, 0.0, 0)
