@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import nextafter, sqrt, ulp
+
+from .linalg import check_integer, check_real
 
 SP = "SP"
 SP_TAIL = "SP-tail-metric"
@@ -51,6 +53,9 @@ _ALIASES = {
 }
 
 _BISECT_TOL = 1e-9
+
+# The largest float below 1: every formula needs delta < 1.
+DELTA_MAX = nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -77,16 +82,10 @@ def canonical_family(name: str) -> str:
     """Resolve a family name or alias to its canonical spelling."""
     if name in FAMILIES:
         return name
-    key = name.strip().lower()
+    key = name.strip().lower() if isinstance(name, str) else None
     if key in _ALIASES:
         return _ALIASES[key]
     raise ValueError(f"unknown formula family {name!r}; expected one of {FAMILIES}")
-
-
-def _check_delta(delta: float) -> float:
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    return float(delta)
 
 
 def _sp_rho(d: float) -> float:
@@ -163,8 +162,7 @@ def delta_for_rho(family: str, target_rho: float) -> float:
     (0, 1] is reachable.
     """
     family = canonical_family(family)
-    if not 0.0 < target_rho <= 1.0:
-        raise ValueError(f"target rho must lie in (0, 1], got {target_rho}")
+    check_real(target_rho, "target_rho", ulp(0.0), 1)  # 0 < target_rho <= 1
     rho = _RHO[family]
     lo, hi = 0.0, 1.0 - 1e-9
     if rho(hi) < target_rho:
@@ -184,7 +182,8 @@ def _thresholds(family: str) -> tuple[float, float]:
 
 
 def _report(family: str, delta: float) -> BoundReport:
-    delta = _check_delta(delta)
+    check_real(delta, "delta", 0, DELTA_MAX)
+    delta = float(delta)
     rho = _RHO[family](delta)
     valid = rho < 1.0
     tau = _SCALED_TAU[family](delta) / (1.0 - rho) if valid else None
@@ -241,10 +240,11 @@ def error_envelope(
 ) -> float:
     """Guaranteed error ceiling after ``n`` iterations:
     rho^n * ||x_s|| + tau * ||e'||.  Requires a contracting report."""
+    check_integer(n, "n", 0)
+    check_real(x_s_norm, "x_s_norm", 0)
+    check_real(e_prime_norm, "e_prime_norm", 0)
     if not report.valid or report.tau is None:
         raise ValueError(
             f"no error envelope: rho = {report.rho:.4f} >= 1 at delta = {report.delta:.4f}"
         )
-    if n < 0:
-        raise ValueError(f"iteration count must be >= 0, got {n}")
     return report.rho**n * x_s_norm + report.tau * e_prime_norm

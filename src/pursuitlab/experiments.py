@@ -35,14 +35,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import COSAMP, SP, bounds_for, canonical_family
+from .bounds import COSAMP, DELTA_MAX, SP, bounds_for, canonical_family
 from .fileio import BOUND_FIELDS, SCHEMA_VERSION, bound_row, write_rows
+from .linalg import check_integer, check_real
 from .recovery import StoppingRule, audit_run, certified_order, cosamp, merged_size, subspace_pursuit
 from .ric import DEFAULT_ENUMERATION_BUDGET, exact_ric
 from .seeding import derive_seed
@@ -72,24 +72,8 @@ ITERATION_COLUMNS = [
 BOUNDS_COLUMNS = ["schema_version", "experiment", "row_index", *BOUND_FIELDS]
 
 
-# The JSON type of each config value; list fields name their entries' type.
-_FIELD_TYPES = {
-    "experiment": "string", "output_path": "string", "kind": "string", "per_trial": "boolean",
-    "success_threshold": "number", "trials_per_cell": "integer", "master_seed": "integer",
-    "ric_budget": "integer", "m": "integer", "N": "integer", "s": "integer", "noise_sigma": "number",
-    "algorithms": "string", "families": "string", "deltas": "number",
-}
-_CLASSES = {"integer": numbers.Integral, "number": numbers.Real, "boolean": bool, "string": str}
-
-
-def _check_type(name: str, value) -> None:
-    """Raise unless ``value`` has the JSON type of ``name``.  A boolean is no
-    number, a float no integer (``from_dict`` reads JSON's 2.0 as 2), and a
-    string is not converted."""
-    kind = _FIELD_TYPES[name]
-    if not isinstance(value, _CLASSES[kind]) or (kind != "boolean" and isinstance(value, bool)):
-        article = "an" if kind == "integer" else "a"
-        raise ValueError(f"'{name}' must be {article} {kind}, got {value!r}")
+# The fields that JSON gives as numbers but the config takes as integers.
+_INTEGER_FIELDS = {"trials_per_cell", "master_seed", "ric_budget", "m", "N", "s"}
 
 
 @dataclass(frozen=True)
@@ -116,14 +100,25 @@ class ExperimentConfig:
     families: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # A config built in Python gets the type checks of one read from JSON.
-        scalars = ("experiment", "output_path", "kind", "per_trial", "success_threshold",
-                   "trials_per_cell", "master_seed", "ric_budget")
-        named = [(f, getattr(self, f)) for f in scalars]
-        named += [(f, v) for f in ("algorithms", "families", "deltas") for v in getattr(self, f)]
-        named += [pair for c in self.grid for pair in zip(("m", "N", "s", "noise_sigma"), astuple(c))]
-        for name, value in named:
-            _check_type(name, value)
+        # A config built in Python gets the checks of one read from JSON.
+        strings = [("experiment", self.experiment), ("output_path", self.output_path), ("kind", self.kind)]
+        for name, value in strings + [(f, v) for f in ("algorithms", "families") for v in getattr(self, f)]:
+            if not isinstance(value, str):
+                raise ValueError(f"'{name}' must be a string, got {value!r}")
+        if not isinstance(self.per_trial, bool):
+            raise ValueError(f"'per_trial' must be a boolean, got {self.per_trial!r}")
+        check_integer(self.trials_per_cell, "'trials_per_cell'", 1)
+        check_integer(self.master_seed, "'master_seed'")
+        check_integer(self.ric_budget, "'ric_budget'", 1)
+        check_real(self.success_threshold, "'success_threshold'", math.ulp(0.0))  # > 0
+        for delta in self.deltas:
+            check_real(delta, "'deltas'", 0, DELTA_MAX)
+        for cell in self.grid:
+            for name, value in zip(("m", "N", "s"), (cell.m, cell.n, cell.s)):
+                check_integer(value, f"'{name}'")
+            check_real(cell.noise_sigma, f"bad grid cell {cell}: 'noise_sigma'", 0)
+            if not (1 <= cell.s <= cell.m <= cell.n):
+                raise ValueError(f"bad grid cell {cell}: need 1 <= s <= m <= N")
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
         if self.experiment == "bounds-table":
@@ -131,14 +126,9 @@ class ExperimentConfig:
                 raise ValueError("bounds-table needs non-empty 'deltas' and 'families'")
             for fam in self.families:
                 canonical_family(fam)
-            for delta in self.deltas:
-                if not 0.0 <= delta < 1.0:
-                    raise ValueError(f"bounds-table delta {delta} must lie in [0, 1)")
             return
         if not self.grid:
             raise ValueError("grid must be non-empty")
-        if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
         for alg in self.algorithms:
@@ -146,13 +136,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {alg!r}; expected {SP!r} or {COSAMP!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if not (math.isfinite(self.success_threshold) and self.success_threshold > 0):
-            raise ValueError("success_threshold must be positive and finite")
         for cell in self.grid:
-            if not (1 <= cell.s <= cell.m <= cell.n):
-                raise ValueError(f"bad grid cell {cell}: need 1 <= s <= m <= N")
-            if not (math.isfinite(cell.noise_sigma) and cell.noise_sigma >= 0):
-                raise ValueError(f"bad grid cell {cell}: noise_sigma must be finite and >= 0")
             for alg in self.algorithms:
                 need = merged_size(alg, cell.s)
                 if need > cell.m:
@@ -165,14 +149,13 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
 
-        def listed(field: str, default: list, entry: type | None = None) -> list:
+        def listed(field: str, default: list, entry: type = object) -> list:
             value = raw.get(field, default)
             if not isinstance(value, list):
                 raise ValueError(f"'{field}' must be a list, got {value!r}")
             for item in value:
-                if entry is not None and not isinstance(item, entry):
-                    kind = "an object" if entry is dict else "a string"
-                    raise ValueError(f"each '{field}' entry must be {kind}, got {item!r}")
+                if not isinstance(item, entry):
+                    raise ValueError(f"each '{field}' entry must be an object, got {item!r}")
             return value
 
         def field(source: dict, name: str, default=None, where: str = ""):
@@ -184,7 +167,7 @@ class ExperimentConfig:
                     raise ValueError(f"missing required field '{name}'{where}")
                 return default
             value = source[name]
-            if _FIELD_TYPES[name] == "integer" and isinstance(value, float) and value.is_integer():
+            if name in _INTEGER_FIELDS and isinstance(value, float) and value.is_integer():
                 return int(value)
             return value
 
@@ -197,7 +180,7 @@ class ExperimentConfig:
         )
         return cls(
             experiment=field(raw, "experiment"),
-            algorithms=tuple(listed("algorithms", [SP], str)),
+            algorithms=tuple(listed("algorithms", [SP])),
             grid=grid,
             trials_per_cell=field(raw, "trials_per_cell", 1),
             master_seed=field(raw, "master_seed", 0),
@@ -207,7 +190,7 @@ class ExperimentConfig:
             per_trial=field(raw, "per_trial", False),
             ric_budget=field(raw, "ric_budget", DEFAULT_ENUMERATION_BUDGET),
             deltas=tuple(listed("deltas", [])),
-            families=tuple(listed("families", [], str)),
+            families=tuple(listed("families", [])),
         )
 
     @classmethod

@@ -9,17 +9,24 @@ are 1-d arrays.  Everything here is a pure function of its inputs.
 ``np.triu`` cuts it, then ``solve1`` (gesv).  The wrappers only check,
 copy and convert arrays that here are already float64 and a fresh copy, so
 the same gufuncs on the same arrays in the same order give the same bits
-(a test pins them).  ``numpy.linalg._umath_linalg`` is private: on a numpy
-without ``qr_r_raw`` the kernel calls the wrappers.
+(a test pins them).  ``numpy.linalg._umath_linalg`` is private, and
+``qr_r_raw`` needs numpy >= 2.1, the floor ``pyproject.toml`` declares; the
+three gufuncs are bound at import, so an older numpy fails there.
+
+Every number a public function takes is checked once, where it enters:
+counts, seeds and budgets by ``check_integer``, real parameters (noise
+levels, thresholds, isometry constants) by ``check_real``.  Neither accepts
+a bool or a string, and ``check_real`` accepts no NaN or infinity.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, solve1
 
 from .supports import SupportSet
 
@@ -29,9 +36,6 @@ RANK_TOLERANCE = 1e-12
 
 # Allowed relative asymmetry when a matrix is claimed symmetric.
 SYMMETRY_TOLERANCE = 1e-12
-
-# None on a numpy whose QR gufuncs have other names (see the module docstring).
-_QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None)
 
 
 class SingularSupportError(ValueError):
@@ -79,6 +83,20 @@ def check_integer(value, name: str, low: int | None = None, high: int | None = N
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
     if high is not None and not low <= value <= high:
         raise ValueError(f"{name}={value} out of range [{low}, {high}]")
+
+
+def check_real(value, name: str, low: float | None = None, high: float | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number, neither
+    a bool nor a string, in [low, high] (open where None; ``high`` needs
+    ``low``).  An open end, such as delta < 1, is passed as the nearest
+    float inside it."""
+    if not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    # NaN fails every comparison, so the second test rejects it.
+    in_range = (low is None or value >= low) and (high is None or value <= high)
+    if not (in_range and -math.inf < value < math.inf):
+        bounds = "" if low is None else f" and >= {low}" if high is None else f" and in [{low}, {high}]"
+        raise ValueError(f"{name} must be finite{bounds}, got {value!r}")
 
 
 def _raising(message: str) -> dict:
@@ -129,21 +147,15 @@ def least_squares_on_support(phi: np.ndarray, y: np.ndarray, t: SupportSet) -> n
         )
     idx = t.as_array()
     block = phi[:, idx]  # a copy, which the gufuncs factor in place
-    if _QR_R_RAW is None:
-        q, r = np.linalg.qr(block, mode="reduced")
-    else:
-        with np.errstate(**_QR_ERRORS):
-            q = _umath_linalg.qr_reduced(block, _QR_R_RAW(block, signature="d->d"), signature="dd->d")
-        r = np.where(_below_diagonal(len(t)), 0.0, block[: len(t)])
+    with np.errstate(**_QR_ERRORS):
+        q = qr_reduced(block, qr_r_raw(block, signature="d->d"), signature="dd->d")
+    r = np.where(_below_diagonal(len(t)), 0.0, block[: len(t)])
     diag = np.abs(r.diagonal())
     largest = diag.max()
     if largest == 0.0 or diag.min() < RANK_TOLERANCE * largest:
         raise SingularSupportError(t)
-    if _QR_R_RAW is None:
-        z[idx] = np.linalg.solve(r, q.T @ y)
-    else:
-        with np.errstate(**_SOLVE_ERRORS):
-            z[idx] = _umath_linalg.solve1(r, q.T @ y, signature="dd->d")
+    with np.errstate(**_SOLVE_ERRORS):
+        z[idx] = solve1(r, q.T @ y, signature="dd->d")
     return z
 
 

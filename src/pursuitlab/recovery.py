@@ -53,14 +53,13 @@ reported violation means a bug, not bad luck.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import COSAMP, SP, bounds_for
-from .linalg import SingularSupportError, as_matrix, as_vector, check_integer, least_squares_on_support
+from .linalg import SingularSupportError, as_matrix, as_vector, check_integer, check_real, least_squares_on_support
 from .ric import RicEstimate
 from .signals import SparseInstance, best_s_term, restrict, top_k_magnitude
 from .supports import SupportSet
@@ -91,9 +90,7 @@ class StoppingRule:
     def __post_init__(self) -> None:
         check_integer(self.n_max, "n_max", 1)
         for name in ("epsilon", "e_prime_norm_hint", "epsilon_abs"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            check_real(getattr(self, name), name, 0)
 
     @property
     def residual_threshold(self) -> float:

@@ -49,7 +49,7 @@ import numpy as np
 
 # ``spectral_norm_symmetric`` is not called here; it stays importable from this
 # module because tracing tools wrap it at this import site.
-from .linalg import as_matrix, as_vector, check_integer, spectral_norm_symmetric  # noqa: F401
+from .linalg import as_matrix, as_vector, check_integer, check_real, spectral_norm_symmetric  # noqa: F401
 from .draws import sorted_choices
 from .seeding import derive_seeds
 from .supports import SupportSet
@@ -216,11 +216,13 @@ def exact_ric(
 
     Raises:
         EnumerationBudgetError: C(N, s) exceeds ``budget``.
-        ValueError: ``s`` is not an integer in [1, N], or phi^T phi overflows.
+        ValueError: ``s`` is not an integer in [1, N], ``budget`` not an
+            integer >= 1, or phi^T phi overflows.
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
     check_integer(s, "s", 1, n)
+    check_integer(budget, "budget", 1)
     total = math.comb(n, s)
     if total > budget:
         raise EnumerationBudgetError(total, budget)
@@ -535,8 +537,7 @@ def rip_sandwich_check(phi: np.ndarray, x: np.ndarray, delta: float) -> bool:
     x = as_vector(x)
     if x.shape[0] != phi.shape[1]:
         raise ValueError(f"vector dim {x.shape[0]} != matrix columns {phi.shape[1]}")
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    check_real(delta, "delta", 0)
     n2 = float(x @ x)
     p2 = float(np.linalg.norm(phi @ x) ** 2)
     slack = SANDWICH_SLACK * n2

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import check_integer
+
 _MASK = (1 << 64) - 1
 
 # SplitMix64's increment and its two finalizer multipliers.
@@ -27,9 +29,11 @@ def _splitmix64(x):
 
 
 def derive_seed(*parts: int) -> int:
-    """Mix integer parts into one 64-bit seed (documented SplitMix64 chain)."""
+    """Mix integer parts into one 64-bit seed (documented SplitMix64 chain),
+    each folded to 64 bits (-1 mixes as 2**64 - 1); a bool is no integer."""
     h = 0
-    for p in parts:
+    for i, p in enumerate(parts):
+        check_integer(p, f"parts[{i}]")
         h = _splitmix64(h ^ _splitmix64(int(p) & _MASK))
     return h
 

@@ -12,12 +12,11 @@ reproducible from (kind, m, N, s, noise_sigma, seed) on any platform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector, check_integer
+from .linalg import as_vector, check_integer, check_real
 from .supports import SupportSet
 
 # Generated nonzeros have magnitude in [NONZERO_MIN, 1]; keeping them away
@@ -104,8 +103,8 @@ def make_instance(
         check_integer(value, name)
     if not (1 <= s <= m <= n):
         raise ValueError(f"need 1 <= s <= m <= N, got s={s}, m={m}, N={n}")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    check_real(noise_sigma, "noise_sigma", 0)
+    check_integer(seed, "seed", 0)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     phi = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,10 @@ class TestDeltaForRho:
             delta_for_rho(SP, 1.5)
         with pytest.raises(ValueError):
             delta_for_rho("unknown", 0.5)
+        # A family that is no string is named, not an AttributeError from str.strip.
+        for family in (3, None, ["sp"]):
+            with pytest.raises(ValueError, match=f"unknown formula family {re.escape(repr(family))}"):
+                bounds_for(family, 0.2)
 
 
 class TestShapeProperties:

@@ -309,12 +309,12 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         "'grid' must be a list": {**cfg, "grid": cfg["grid"][0]},
         "each 'grid' entry must be an object": {**cfg, "grid": [1]},
         "'deltas' must be a list": {"experiment": "bounds-table", "deltas": 0.2, "families": ["sp"]},
-        "'trials_per_cell' must be an integer, got [1]": {**cfg, "trials_per_cell": [1]},
+        "'trials_per_cell' must be an integer >= 1, got [1]": {**cfg, "trials_per_cell": [1]},
         "'m' must be an integer, got None": {**cfg, "grid": [{**cfg["grid"][0], "m": None}]},
         "'per_trial' must be a boolean, got 'false'": {**cfg, "per_trial": "false"},
         "missing required field 'experiment'": {k: v for k, v in cfg.items() if k != "experiment"},
         "missing required field 'm' in a 'grid' entry": {**cfg, "grid": [{"N": 24, "s": 2}]},
-        "each 'families' entry must be a string":
+        "'families' must be a string, got 1":
             {"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
     }
     bad_path = tmp_path / "bad.json"
@@ -325,7 +325,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
     out = run_cli("experiment", "--config", str(bad_path))
     assert out.returncode == 1
-    assert out.stderr == "error: each 'families' entry must be a string, got 1\n"
+    assert out.stderr == "error: 'families' must be a string, got 1\n"
 
     # A cell whose perturbation norm overflows is skipped, without a warning.
     cfg["grid"].append({"m": 12, "N": 24, "s": 2, "noise_sigma": 1e300})

@@ -75,16 +75,16 @@ def test_config_validation():
             {"m": 12, "N": 24, "s": 2, "noise_sigma": 0.0},
             {"m": 16, "N": 24, "s": 2, "noise_sigma": sigma},
         ]
-        with pytest.raises(ValueError, match="m=16.*noise_sigma must be finite and >= 0"):
+        with pytest.raises(ValueError, match="m=16.*'noise_sigma' must be finite and >= 0"):
             ExperimentConfig.from_dict(config_dict(grid=grid))
     # A bounds-table delta outside [0, 1) fails when the config is built.
     for delta in (-0.1, 1.0, 1.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=f"bounds-table delta {delta} must lie in"):
+        with pytest.raises(ValueError, match=rf"'deltas' must be finite and in \[0, 0.9999999999999999\], got {delta}"):
             ExperimentConfig.from_dict(
                 {"experiment": "bounds-table", "deltas": [0.2, delta], "families": ["sp"]}
             )
     for threshold in (0.0, -1e-4, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="success_threshold must be positive and finite"):
+        with pytest.raises(ValueError, match="'success_threshold' must be finite and >= 5e-324"):
             ExperimentConfig.from_dict(config_dict(success_threshold=threshold))
     # JSON of the wrong shape fails with a message that names the field,
     # not with a TypeError or AttributeError, and a string is not read as
@@ -97,9 +97,9 @@ def test_config_validation():
             ExperimentConfig.from_dict(config_dict(**{field: value}))
     for raw, message in (
         (config_dict(grid=[1]), "each 'grid' entry must be an object"),
-        (config_dict(algorithms=["SP", 1]), "each 'algorithms' entry must be a string"),
+        (config_dict(algorithms=["SP", 1]), "'algorithms' must be a string, got 1"),
         ({"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
-         "each 'families' entry must be a string"),
+         "'families' must be a string, got 1"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(raw)
@@ -109,9 +109,9 @@ def test_config_validation():
     # required field is named.
     no_experiment = {k: v for k, v in config_dict().items() if k != "experiment"}
     for raw, message in (
-        (config_dict(trials_per_cell=[1]), r"'trials_per_cell' must be an integer, got \[1\]"),
-        (config_dict(trials_per_cell=2.7), "'trials_per_cell' must be an integer, got 2.7"),
-        (config_dict(trials_per_cell=True), "'trials_per_cell' must be an integer, got True"),
+        (config_dict(trials_per_cell=[1]), r"'trials_per_cell' must be an integer >= 1, got \[1\]"),
+        (config_dict(trials_per_cell=2.7), "'trials_per_cell' must be an integer >= 1, got 2.7"),
+        (config_dict(trials_per_cell=True), "'trials_per_cell' must be an integer >= 1, got True"),
         (config_dict(master_seed="7"), "'master_seed' must be an integer, got '7'"),
         (config_dict(ric_budget=1e3 + 0.5), "'ric_budget' must be an integer"),
         (config_dict(grid=[{"m": None, "N": 24, "s": 2}]), "'m' must be an integer, got None"),
@@ -141,10 +141,10 @@ def test_config_validation():
         trials_per_cell=2, master_seed=1, output_path="out.csv",
     )
     for field, value, message in (
-        ("trials_per_cell", 2.5, "'trials_per_cell' must be an integer, got 2.5"),
-        ("trials_per_cell", True, "'trials_per_cell' must be an integer, got True"),
+        ("trials_per_cell", 2.5, "'trials_per_cell' must be an integer >= 1, got 2.5"),
+        ("trials_per_cell", True, "'trials_per_cell' must be an integer >= 1, got True"),
         ("master_seed", 1.5, "'master_seed' must be an integer, got 1.5"),
-        ("ric_budget", 1e3, "'ric_budget' must be an integer, got 1000.0"),
+        ("ric_budget", 1e3, "'ric_budget' must be an integer >= 1, got 1000.0"),
         ("grid", (GridCell(8.0, 16, 2, 0.0),), "'m' must be an integer, got 8.0"),
         ("grid", (GridCell(12, 24.0, 2, 0.0),), "'N' must be an integer, got 24.0"),
         ("grid", (GridCell(12, 24, True, 0.0),), "'s' must be an integer, got True"),

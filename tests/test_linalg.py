@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import examples
@@ -5,16 +7,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pursuitlab import (
+    ExperimentConfig,
+    GridCell,
     RicEstimate,
     SingularSupportError,
     SparseInstance,
+    StoppingRule,
     SupportSet,
     audit_run,
     best_s_term,
+    bounds_for,
     cosamp,
+    delta_for_rho,
+    derive_seed,
+    error_envelope,
     exact_ric,
     least_squares_on_support,
+    make_instance,
+    rip_sandwich_check,
     sampled_ric_lower_bound,
+    sp_bounds,
     spectral_norm_symmetric,
     subspace_pursuit,
 )
@@ -161,13 +173,59 @@ def test_singular_solve_raises_as_numpy_does():
     assert str(got.value) == str(want.value)
 
 
-def test_wrapper_fallback_gives_the_same_bits(monkeypatch):
-    # A numpy without the qr_r_raw gufunc takes the wrappers.
-    phi, y = rng(30).normal(size=(12, 20)), rng(31).normal(size=12)
-    t = SupportSet.from_iterable([0, 3, 7, 11, 19], 20)
-    want = least_squares_on_support(phi, y, t)
-    monkeypatch.setattr(linalg, "_QR_R_RAW", None)
-    assert least_squares_on_support(phi, y, t).tobytes() == want.tobytes()
+def _config(**fields):
+    good = dict(
+        experiment="phase-transition", algorithms=("SP",), grid=(GridCell(12, 24, 2, 0.0),),
+        trials_per_cell=2, master_seed=1, output_path="out.csv",
+    )
+    return ExperimentConfig(**good | fields)
+
+
+# Every public number argument: a call taking the value, the argument as its
+# error message names it, a valid value (a float marks a real argument) and
+# one out of range (None where every value of the type is valid; a grid
+# cell's m, N and s are ranged together, as the cell).
+NUMBER_ARGUMENTS = {
+    "StoppingRule.epsilon": (lambda v: StoppingRule(epsilon=v), "epsilon", 1.0, -1.0),
+    "StoppingRule.e_prime_norm_hint": (lambda v: StoppingRule(e_prime_norm_hint=v), "e_prime_norm_hint", 1.0, -1.0),
+    "StoppingRule.epsilon_abs": (lambda v: StoppingRule(epsilon_abs=v), "epsilon_abs", 0.0, -1e-10),
+    "make_instance.noise_sigma": (lambda v: make_instance("exact-sparse", 8, 16, 2, v, 0), "noise_sigma", 0.0, -0.1),
+    "make_instance.seed": (lambda v: make_instance("exact-sparse", 8, 16, 2, 0.0, v), "seed", 3, -1),
+    "bounds_for.delta": (lambda v: bounds_for("SP", v), "delta", 0.0, 1.0),
+    "delta_for_rho.target_rho": (lambda v: delta_for_rho("SP", v), "target_rho", 1.0, 0.0),
+    "error_envelope.n": (lambda v: error_envelope(sp_bounds(0.2), v, 1.0, 0.0), "n", 2, -1),
+    "error_envelope.x_s_norm": (lambda v: error_envelope(sp_bounds(0.2), 2, v, 0.0), "x_s_norm", 1.0, -1.0),
+    "error_envelope.e_prime_norm": (lambda v: error_envelope(sp_bounds(0.2), 2, 1.0, v), "e_prime_norm", 0.0, -1.0),
+    "exact_ric.budget": (lambda v: exact_ric(np.eye(4), 2, budget=v), "budget", 6, 0),
+    "rip_sandwich_check.delta": (lambda v: rip_sandwich_check(np.eye(4), np.ones(4), v), "delta", 0.0, -0.1),
+    "derive_seed.parts": (lambda v: derive_seed(7, v), "parts[1]", 3, None),
+    "ExperimentConfig.success_threshold": (
+        lambda v: _config(success_threshold=v), "'success_threshold'", 1.0, 0.0),
+    "ExperimentConfig.trials_per_cell": (lambda v: _config(trials_per_cell=v), "'trials_per_cell'", 2, 0),
+    "ExperimentConfig.master_seed": (lambda v: _config(master_seed=v), "'master_seed'", 1, None),
+    "ExperimentConfig.ric_budget": (lambda v: _config(ric_budget=v), "'ric_budget'", 10, 0),
+    "ExperimentConfig.deltas": (
+        lambda v: _config(experiment="bounds-table", grid=(), deltas=(v,), families=("sp",)), "'deltas'", 0.0, 1.0),
+    "GridCell.m": (lambda v: _config(grid=(GridCell(v, 24, 2, 0.0),)), "'m'", 12, None),
+    "GridCell.N": (lambda v: _config(grid=(GridCell(12, v, 2, 0.0),)), "'N'", 24, None),
+    "GridCell.s": (lambda v: _config(grid=(GridCell(12, 24, v, 0.0),)), "'s'", 2, None),
+    "GridCell.noise_sigma": (lambda v: _config(grid=(GridCell(12, 24, 2, v),)), "'noise_sigma'", 0.0, -1e-3),
+}
+
+
+@pytest.mark.parametrize("call,name,valid,out_of_range", NUMBER_ARGUMENTS.values(), ids=NUMBER_ARGUMENTS)
+def test_public_numbers_are_checked_at_the_boundary(call, name, valid, out_of_range):
+    # A string, a bool, NaN, infinity or a value out of range is a ValueError
+    # that names the argument, not a TypeError, a silent reading (True as 1,
+    # "1" as 1, 1.5 as 1) or a NaN that every comparison lets through.
+    for bad in ("0.5", True, np.nan, np.inf, out_of_range):
+        if bad is not None:
+            with pytest.raises(ValueError, match=re.escape(name) + " must be"):
+                call(bad)
+    # Python's and numpy's integers stay valid everywhere, numpy's floats
+    # where a real number is asked for.
+    for kind in (int, np.int64, np.uint64) + ((np.float32,) if isinstance(valid, float) else ()):
+        call(kind(valid))
 
 
 # One layout at the public boundary: as_matrix and as_vector return C-contiguous
