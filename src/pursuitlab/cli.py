@@ -96,11 +96,15 @@ def _bounds_text(rows: list[dict]) -> str:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.solve:
         key, _, value = args.solve.partition("=")
-        if key.strip() != "rho" or not value:
+        try:
+            rho = float(value)
+        except ValueError:
+            rho = None
+        if key.strip() != "rho" or rho is None:
             raise ValueError(f"--solve expects rho=<r>, got {args.solve!r}")
         family = canonical_family(args.family)
-        delta = delta_for_rho(family, float(value))
-        _emit(dump_json({"family": family, "target_rho": float(value), "delta": delta}), args.output)
+        delta = delta_for_rho(family, rho)
+        _emit(dump_json({"family": family, "target_rho": rho, "delta": delta}), args.output)
         return 0
     if args.delta is None:
         raise ValueError("bounds needs --delta (or --solve rho=<r>)")

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +145,7 @@ class ExperimentConfig:
                     )
 
     @classmethod
-    def from_dict(cls, raw: dict, default_output: str = "results.csv") -> "ExperimentConfig":
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
 
@@ -171,12 +171,23 @@ class ExperimentConfig:
                 return int(value)
             return value
 
+        def known(source: dict, names, where: str = "") -> None:
+            """Reject a key of ``source`` that names no field, which would
+            otherwise be ignored and its field left at its default."""
+            for key in source:
+                if key not in names:
+                    raise ValueError(f"unknown field '{key}'{where}")
+
+        known(raw, {f.name for f in fields(cls)})
+        cells = listed("grid", [], dict)
+        for c in cells:
+            known(c, ("m", "N", "s", "noise_sigma"), " in a 'grid' entry")
         grid = tuple(
             GridCell(
                 *(field(c, name, where=" in a 'grid' entry") for name in ("m", "N", "s")),
                 field(c, "noise_sigma", 0.0),
             )
-            for c in listed("grid", [], dict)
+            for c in cells
         )
         return cls(
             experiment=field(raw, "experiment"),
@@ -184,7 +195,7 @@ class ExperimentConfig:
             grid=grid,
             trials_per_cell=field(raw, "trials_per_cell", 1),
             master_seed=field(raw, "master_seed", 0),
-            output_path=field(raw, "output_path", default_output),
+            output_path=field(raw, "output_path", "results.csv"),
             success_threshold=field(raw, "success_threshold", 1e-4),
             kind=field(raw, "kind", "exact-sparse"),
             per_trial=field(raw, "per_trial", False),

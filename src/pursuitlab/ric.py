@@ -20,21 +20,20 @@ such block is a principal submatrix of the node block on T = P + R, so by
 Cauchy interlacing its deviation is at most || G_T - I ||_2.  That norm is
 bounded from above by || A^(2^k) ||_F^(1/2^k) for A = G_T - I, a few
 matrix products, and a subtree whose bound is below the best value already
-solved (the incumbent) is skipped whole.  The incumbent starts from seed
-supports: the column with the largest |diagonal| at order 1, the pair
-with the largest screening proxy at order 2, and supports grown greedily
-from every column above that.  So most of the tree is skipped before the
-first leaf is reached, and most supports that reach the screen are
-dropped there rather than solved.
+solved (the incumbent) is skipped whole.  The incumbent starts from the
+solved values of a few greedy seed supports (``_greedy_seeds``), so most
+of the tree is skipped before the first leaf is reached, and most
+supports that reach the screen are dropped there rather than solved.
 
 The supports left over reach a per-support screen, which bounds each
 deviation block by || A @ A ||_F^(1/2) = (sum_i lambda_i^4)^(1/4), and by
 || A^4 ||_F^(1/4) where that is not enough, and hands to the eigensolver
 only supports whose bound reaches the incumbent.  Every bound is widened
 by a rounding slack, so neither the tree nor the screen can change a
-reported value or witness (the argument is in ``exact_ric``); they only
-skip work.  ``RicEstimate.supports_screened`` counts the supports that
-reached the screen and ``RicEstimate.blocks_evaluated`` the eigen-solves.
+reported value or witness; they only skip work.  The argument is stated
+once, in ``exact_ric``'s docstring.  ``RicEstimate.supports_screened``
+counts the supports that reached the screen and
+``RicEstimate.blocks_evaluated`` the eigen-solves.
 
 Values above 1 are reported as-is: they simply mean the matrix has no
 restricted isometry at that order (some block is singular or worse).
@@ -113,7 +112,8 @@ class RicEstimate:
     the number of supports the value covers: C(N, s) for exact mode, where
     every support is certified by a tree node's bound, by the screening
     bound or by an eigen-solve, and the trial count for sampled mode.
-    ``blocks_evaluated`` is the number of eigen-solves actually run and,
+    ``blocks_evaluated`` is the number of eigen-solves run on supports
+    (for exact mode, not counting the seeds that start the incumbent) and,
     for exact mode, ``supports_screened`` the number of supports that
     reached the per-support screen, that is, that no skipped subtree
     covered; both are kept in memory only and are not part of any output
@@ -169,14 +169,15 @@ def exact_ric(
     b = ||A @ A||_F^(1/2) >= ||A||_2; where b does not already screen a
     support out, it is replaced by the smaller of b and ||A^4||_F^(1/4).
     A support is screened out when b * (1 + 1e-9) + 1e-30 is below the
-    incumbent.  The kept supports are solved with ``eigvalsh``, except seed
-    supports, whose values are filled in, so no support is solved twice;
-    the incumbent then rises to the chunk's best.  Screened-out supports
-    get -inf, never NaN.  The chunk's first-index argmax replaces the
-    running maximum on strict improvement only, so among exactly tied
-    maximizers the reported witness is the lexicographically smallest.
+    incumbent.  The kept supports are solved with ``eigvalsh`` (a seed that
+    is kept is solved again, to the same bits), and the incumbent then
+    rises to the chunk's best.  Screened-out supports get -inf, never NaN.
+    The chunk's first-index argmax replaces the running maximum on strict
+    improvement only, so among exactly tied maximizers the reported
+    witness is the lexicographically smallest.
 
-    Value and witness equal those of an unscreened scan, bit for bit:
+    Value and witness equal those of an unscreened scan, bit for bit,
+    whatever the seeds:
 
     * The incumbent is always a solved value, a seed's or a chunk's, so it
       never exceeds the final maximum M.
@@ -198,11 +199,10 @@ def exact_ric(
       support when M is below 1e-30.  An overflowing product gives an
       infinite or NaN bound: the screen keeps NaN, and ``fmin`` falls back
       from an infinite or NaN refinement to b.
-    * So every maximizer is solved, by the same ``eigvalsh`` on the same
-      block (a seed's block is gathered the same way), and a batched
-      ``eigvalsh`` solves each matrix on its own, so its value is bitwise
-      the unscreened one.  Supports screened out hold -inf < M and cannot
-      win an argmax.
+    * So every maximizer is solved in the walk, by the same ``eigvalsh`` on
+      the same block, and a batched ``eigvalsh`` solves each matrix on its
+      own, so its value is bitwise the unscreened one.  Supports screened
+      out hold -inf < M and cannot win an argmax.
     * The walk yields supports in lexicographic order, so first-index
       argmax within a chunk plus strict improvement across chunks return
       the lexicographically smallest maximizer, exactly as the unscreened
@@ -212,7 +212,8 @@ def exact_ric(
     eigen-solve, so ``supports_examined`` is C(N, s).
     ``supports_screened`` counts the supports that reached the screen
     (C(N, s) minus those in skipped subtrees) and ``blocks_evaluated`` the
-    eigen-solves, seeds included.
+    eigen-solves of the walk, at most one per support; the seeds' solves,
+    which only start the incumbent, are not counted.
 
     Raises:
         EnumerationBudgetError: C(N, s) exceeds ``budget``.
@@ -228,29 +229,19 @@ def exact_ric(
         raise EnumerationBudgetError(total, budget)
 
     dev = _deviation(phi)
-    seeds, seed_values = _greedy_seeds(dev, s)
-    incumbent = float(seed_values.max(initial=-np.inf))
-    next_seed = 0
+    incumbent = float(_deviations(_blocks(dev, _greedy_seeds(dev, s))).max())
     best = -np.inf
     witness: tuple[int, ...] = tuple(range(s))
-    evaluated = len(seeds)
-    screened = 0
+    evaluated = screened = 0
     widen = 1.0 + _SCREEN_SLACK + 16 * s**3 * np.finfo(float).eps
     for combos in _surviving_leaves(dev, s, _chunk_rows(s), lambda: incumbent):
         screened += len(combos)
         blocks = _blocks(dev, combos)
         kept = _screen(blocks, incumbent, widen)
         values = np.full(len(combos), -np.inf)
-        # Seeds are sorted, so those up to this chunk's last support are
-        # either in it or in a skipped subtree.
-        last = tuple(combos[-1].tolist())
-        while next_seed < len(seeds) and tuple(seeds[next_seed].tolist()) <= last:
-            values[(combos == seeds[next_seed]).all(axis=1)] = seed_values[next_seed]
-            next_seed += 1
-        solve = kept[values[kept] == -np.inf]
-        if solve.size:
-            values[solve] = np.abs(np.linalg.eigvalsh(blocks[solve])).max(axis=1)
-            evaluated += solve.size
+        if kept.size:  # most chunks keep no support
+            values[kept] = _deviations(blocks[kept])
+        evaluated += kept.size
         i = int(np.argmax(values))
         incumbent = max(incumbent, float(values[i]))
         if values[i] > best:
@@ -286,53 +277,41 @@ def _screen(blocks: np.ndarray, incumbent: float, widen: float) -> np.ndarray:
     return np.flatnonzero(~(bounds * widen + _SCREEN_FLOOR < incumbent))
 
 
-def _greedy_seeds(dev: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seed supports, in lexicographic order, with their deviations solved
-    as ``exact_ric`` solves a support.
+def _deviations(blocks: np.ndarray) -> np.ndarray:
+    """The spectral norm of each block of a stack, from one ``eigvalsh``
+    call, which solves each block on its own."""
+    return np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+
+
+def _greedy_seeds(dev: np.ndarray, s: int) -> np.ndarray:
+    """Supports that start the incumbent, one per row in increasing
+    order, so that a seed's block and solved value are those the walk
+    gives the same support.
 
     Order 1 has one seed, the column with the largest |diagonal| of the
-    deviation; order 2 one, the pair with the largest ||A @ A||_F (the
-    screen's proxy), found over all pairs at once.  From order 3 on, each
-    start column is extended s - 1 times by the column whose enlarged block
-    A has the largest ||A @ A||_F, and the distinct supports are the seeds.
+    deviation.  From order 2 on, each column i is paired with the column j
+    whose block A = [[a, c], [c, b]] (a, b, c = dev[i, i], dev[j, j],
+    dev[i, j]) has the largest screening proxy
+    ||A @ A||_F^2 = (a^2 + c^2)^2 + (b^2 + c^2)^2 + 2 c^2 (a + b)^2.
+    Order 2 keeps the best of these pairs.  Above it every pair is extended
+    s - 2 times by the column whose enlarged block A has the largest
+    ||A @ A||_F, and the distinct supports are the seeds.
     """
-    if s == 1:
-        seeds = np.array([[np.argmax(np.abs(np.diagonal(dev)))]], dtype=np.intp)
-    elif s == 2:
-        seeds = np.array([_best_pair(dev)], dtype=np.intp)
-    else:
-        seeds = _grown_seeds(dev, s)
-    return seeds, np.abs(np.linalg.eigvalsh(_blocks(dev, seeds))).max(axis=1)
-
-
-def _best_pair(dev: np.ndarray) -> tuple[int, int]:
-    """The first pair i < j, in lexicographic order, with the largest
-    ||A @ A||_F^2 = (a^2 + c^2)^2 + (b^2 + c^2)^2 + 2 c^2 (a + b)^2 for the
-    block A = [[a, c], [c, b]] on columns i, j; rows of pairs in batches."""
     n = len(dev)
     diag = np.diagonal(dev)
-    best, pair = -np.inf, (0, 1)
-    rows = max(1, _CHUNK_ENTRIES // n)
-    for first in range(0, n - 1, rows):
-        i = np.arange(first, min(first + rows, n - 1))
-        a, b, c = diag[i, None], diag[None, :], dev[i]
-        with np.errstate(over="ignore", invalid="ignore"):
-            proxy = (a * a + c * c) ** 2 + (b * b + c * c) ** 2 + 2 * (c * (a + b)) ** 2
-        proxy[np.arange(n) <= i[:, None]] = -np.inf
-        k = int(np.argmax(proxy))
-        if proxy.flat[k] > best:
-            best, pair = proxy.flat[k], (int(i[k // n]), k % n)
-    return pair
-
-
-def _grown_seeds(dev: np.ndarray, s: int) -> np.ndarray:
-    """The distinct supports grown greedily from every column, sorted."""
-    n = len(dev)
+    if s == 1:
+        return np.array([[np.argmax(np.abs(diag))]], dtype=np.intp)
     group = max(1, _CHUNK_ENTRIES // (n * s * s))
-    grown = []
+    grown, tops = [], []
     for first in range(0, n, group):
-        supports = np.arange(first, min(first + group, n))[:, None]
-        for r in range(1, s):
+        i = np.arange(first, min(first + group, n))
+        a, c = diag[i, None], dev[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            proxy = (a * a + c * c) ** 2 + (diag * diag + c * c) ** 2 + 2 * (c * (a + diag)) ** 2
+        proxy[np.arange(len(i)), i] = -np.inf
+        supports = np.column_stack([i, np.argmax(proxy, axis=1)])
+        tops.append(proxy.max(axis=1))
+        for r in range(2, s):
             k = len(supports)
             cand = np.empty((k, n, r + 1), dtype=np.intp)
             cand[:, :, :r] = supports[:, None, :]
@@ -344,8 +323,10 @@ def _grown_seeds(dev: np.ndarray, s: int) -> np.ndarray:
             np.put_along_axis(proxy, supports, -np.inf, axis=1)
             supports = np.hstack([supports, np.argmax(proxy, axis=1)[:, None]])
         grown.append(supports)
-    distinct = {tuple(row) for row in np.sort(np.concatenate(grown), axis=1).tolist()}
-    return np.array(sorted(distinct), dtype=np.intp)
+    seeds = np.concatenate(grown)
+    if s == 2:
+        seeds = seeds[[np.argmax(np.concatenate(tops))]]
+    return np.array(sorted({tuple(row) for row in np.sort(seeds, axis=1).tolist()}), dtype=np.intp)
 
 
 def _node_bounds(dev: np.ndarray, prefixes: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -512,7 +493,7 @@ def sampled_ric_lower_bound(
         batch = sorted_choices(derive_seeds(seed, first, min(draws, trials - first)), n, s)
         for start in range(0, len(batch), rows):
             supports = batch[start : start + rows]
-            values = np.abs(np.linalg.eigvalsh(_blocks(dev, supports))).max(axis=1)
+            values = _deviations(_blocks(dev, supports))
             i = int(np.argmax(values))
             if values[i] > best:
                 best = float(values[i])

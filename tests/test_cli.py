@@ -248,6 +248,11 @@ def test_bounds_outputs():
     out = run_cli("bounds", "--family", "sp")
     assert out.returncode == 1
 
+    # A value that is not a number is named with the option it came from.
+    out = run_cli("bounds", "--solve", "rho=abc")
+    assert out.returncode == 1
+    assert out.stderr == "error: --solve expects rho=<r>, got 'rho=abc'\n"
+
 
 def test_bound_outputs_match_golden_bytes(tmp_path):
     # Recorded before `bounds` and `bounds-table` shared one row builder and
@@ -314,6 +319,8 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         "'per_trial' must be a boolean, got 'false'": {**cfg, "per_trial": "false"},
         "missing required field 'experiment'": {k: v for k, v in cfg.items() if k != "experiment"},
         "missing required field 'm' in a 'grid' entry": {**cfg, "grid": [{"N": 24, "s": 2}]},
+        "unknown field 'trials_per_cel'": {**cfg, "trials_per_cel": 5},
+        "unknown field 'sigma' in a 'grid' entry": {**cfg, "grid": [{**cfg["grid"][0], "sigma": 1e-3}]},
         "'families' must be a string, got 1":
             {"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
     }

@@ -123,6 +123,11 @@ def test_config_validation():
         (config_dict(per_trial=1), "'per_trial' must be a boolean, got 1"),
         (config_dict(output_path=3), "'output_path' must be a string, got 3"),
         (no_experiment, "missing required field 'experiment'"),
+        # A misspelt key is named rather than ignored: 'trials_per_cel' used
+        # to run 1 trial per cell and a grid 'sigma' a noiseless cell.
+        (config_dict(trials_per_cel=5), "unknown field 'trials_per_cel'"),
+        (config_dict(grid=[{"m": 12, "N": 24, "s": 2, "sigma": 1e-3}]),
+         "unknown field 'sigma' in a 'grid' entry"),
         ({"experiment": "bounds-table", "deltas": [True], "families": ["sp"]},
          "'deltas' must be a number, got True"),
     ):
