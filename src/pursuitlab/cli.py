@@ -29,6 +29,7 @@ from .bounds import COSAMP, SP, SP_DM, SP_LBJ, SP_TAIL, bounds_for, canonical_fa
 from .experiments import ExperimentConfig, run_experiment, write_results
 from .fileio import (
     BOUND_FIELDS,
+    TRACE_LEVELS,
     bound_row,
     dump_json,
     read_matrix,
@@ -66,7 +67,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         epsilon_abs=args.epsilon_abs,
     )
     run = subspace_pursuit if _ALGORITHMS[args.algorithm] == SP else cosamp
-    result = run(phi, y, args.sparsity, stop=stop, truth=truth, trace=args.trace)
+    result = run(phi, y, args.sparsity, stop=stop, truth=truth)
     _emit(dump_json(recovery_payload(result, trace=args.trace)), args.output)
     return 0 if result.converged else 2
 
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", "-s", type=int, required=True)
     p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="sp")
     p.add_argument("--truth", help="optional signal file enabling error traces")
-    p.add_argument("--trace", choices=("none", "norms", "full"), default="norms")
+    p.add_argument("--trace", choices=TRACE_LEVELS, default="norms")
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--e-prime-norm", type=float, default=0.0)
     p.add_argument("--epsilon-abs", type=float, default=1e-10)

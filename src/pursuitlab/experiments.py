@@ -242,13 +242,13 @@ def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], li
             break
         stop = StoppingRule(e_prime_norm_hint=instance.e_prime_norm)
         x_norm = float(np.linalg.norm(instance.x))
-        # Ground truth forces a full trace with per-iteration error norms; only
-        # convergence rows and audits read them.
-        truth = instance.x if config.experiment != "phase-transition" else None
+        # Ground truth only adds per-iteration error norms to the records, and
+        # only convergence rows read them; an audit takes the signal from the instance.
+        truth = instance.x if config.experiment == "convergence" else None
         for alg in active:
             # Looked up at call time, so that a wrapper installed on the module is seen.
             run = subspace_pursuit if alg == SP else cosamp
-            result = run(instance.phi, instance.y, instance.s, stop=stop, truth=truth, trace="none")
+            result = run(instance.phi, instance.y, instance.s, stop=stop, truth=truth)
             error = float(np.linalg.norm(result.estimate - instance.x))
             rel_error = error / x_norm if x_norm > 0 else error
             row = head[alg] | {
@@ -265,10 +265,10 @@ def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], li
             if config.experiment == "convergence":
                 iteration_rows[alg] += [
                     head[alg] | {
-                        "trial_index": ti, "iteration": rec.n, "residual_norm": rec.residual_norm,
+                        "trial_index": ti, "iteration": it, "residual_norm": rec.residual_norm,
                         "signal_error": rec.signal_error, "tail_energy": rec.tail_energy,
                     }
-                    for rec in result.iterations
+                    for it, rec in enumerate(result.iterations, start=1)
                 ]
 
     cell_rows: list[dict] = []

@@ -53,6 +53,10 @@ from .ric import RicEstimate
 
 SCHEMA_VERSION = 1
 
+# What a ``recover`` payload lists per iteration: nothing, the supports and
+# norms, or those and the two vectors.
+TRACE_LEVELS = ("none", "norms", "full")
+
 BOUND_FIELDS = ("family", "delta", "rho", "tau", "valid", "threshold_rho1", "threshold_rho_half")
 
 
@@ -168,11 +172,13 @@ def dump_json(payload: dict) -> str:
 
 def recovery_payload(result: RecoveryResult, trace: str = "norms") -> dict:
     """JSON-ready dict for a recovery run at the requested trace level."""
+    if trace not in TRACE_LEVELS:
+        raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
     iterations = []
     if trace != "none":
-        for rec in result.iterations:
+        for n, rec in enumerate(result.iterations, start=1):
             row: dict = {
-                "n": rec.n,
+                "n": n,
                 "delta_support": list(rec.delta_support.indices),
                 "merged_support": list(rec.merged_support.indices),
                 "pruned_support": list(rec.pruned_support.indices),
@@ -181,7 +187,7 @@ def recovery_payload(result: RecoveryResult, trace: str = "norms") -> dict:
             if rec.signal_error is not None:
                 row["signal_error"] = rec.signal_error
                 row["tail_energy"] = rec.tail_energy
-            if trace == "full" and rec.estimate is not None:
+            if trace == "full":
                 row["intermediate"] = rec.intermediate.tolist()
                 row["estimate"] = rec.estimate.tolist()
             iterations.append(row)

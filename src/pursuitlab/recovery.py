@@ -17,22 +17,22 @@ are deterministic.
 Each iteration is a pure function of the state (support, estimate bytes)
 left by the previous one.  Once that state repeats bitwise the rest of the
 run is periodic and the residual criterion can no longer fire, so the loop
-stops computing.  ``RecoveryResult.iterations`` is then a read-only
-sequence of length ``n_max`` over the computed records; a record past the
-first repeat is built from the cycle only when it is read.  Results and
-traces are identical to running every iteration, and
-``RecoveryResult.stop_reason`` says which of ``residual``, ``cycle`` or
-``cap`` ended the run.
+stops computing.  ``RecoveryResult.iterations`` is a plain list with one
+record per iteration; a cycling run fills it up to ``n_max`` with the
+computed records of the cycle, in order, so an entry past the first repeat
+is the very record it repeats.  Results and records are identical to
+running every iteration, and ``RecoveryResult.stop_reason`` says which of
+``residual``, ``cycle`` or ``cap`` ended the run.
 
 ``subspace_pursuit``/``cosamp`` validate their inputs before the first
 iteration.  Each iteration builds the merged support as a sorted union of
-index arrays, builds three ``SupportSet``s (the ones its record keeps), and
-computes ``y - phi x`` once, for both the residual norm and the next
-correlation.  The kernels are called through the names this module imports,
-where ``perfbench/tracing.py`` times them, so they check their arguments
-again on every call.  ``least_squares_on_support`` skips the
-``np.linalg.qr``/``np.linalg.solve`` wrappers and calls the LAPACK gufuncs
-they wrap, with their bits (see ``linalg``).
+index arrays, builds one record (three ``SupportSet``s, the debiased vector
+and a copy of the estimate), and computes ``y - phi x`` once, for both the
+residual norm and the next correlation.  The kernels are called through the
+names this module imports, where ``perfbench/tracing.py`` times them, so
+they check their arguments again on every call.  ``least_squares_on_support``
+skips the ``np.linalg.qr``/``np.linalg.solve`` wrappers and calls the LAPACK
+gufuncs they wrap, with their bits (see ``linalg``).
 
 A least-squares solve on the same support as the solve just before it is
 not repeated: the run keeps the last support it solved and that solution,
@@ -45,16 +45,18 @@ first iteration, where the merged support is the s new candidates), the
 first solve at an SP fixed point whose candidates all lie in the support,
 and a CoSaMP merged support that repeats.
 
-``audit_iteration`` re-measures, on an instrumented run, every
+``audit_iteration`` re-measures, on the records of any run, every
 per-iteration inequality that is provable from a certified isometry
 constant; with a certified constant below the algorithm's threshold a
-reported violation means a bug, not bad luck.
+reported violation means a bug, not bad luck.  Ground truth passed to a
+run only adds the error norms ``signal_error`` and ``tail_energy`` to its
+records; the audit takes the signal from the instance.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -63,8 +65,6 @@ from .linalg import SingularSupportError, as_matrix, as_vector, check_integer, c
 from .ric import RicEstimate
 from .signals import SparseInstance, best_s_term, restrict, top_k_magnitude
 from .supports import SupportSet
-
-TRACE_LEVELS = ("none", "norms", "full")
 
 # Relative slack when comparing measured lhs <= rhs on proved inequalities;
 # keeps exact-arithmetic theorems from "failing" by one ulp of solver noise.
@@ -103,86 +103,37 @@ class StoppingRule:
 class IterationRecord:
     """State captured at the end of one iteration.
 
-    Vector fields are retained only in full-trace mode (automatic whenever
-    ground truth is supplied); ``signal_error`` and ``tail_energy`` are the
-    distances ||x_s - x^n|| and ||x_s outside the pruned support|| and are
-    present only with ground truth.  Records past the first repeat of a
-    cycling run are built when read from the record they repeat, and share
-    its arrays.
+    ``intermediate`` is the least-squares solution on the merged support and
+    ``estimate`` the pruned estimate.  ``signal_error`` and ``tail_energy``
+    are the distances ||x_s - x^n|| and ||x_s outside the pruned support||
+    and are present only when the run was given ground truth.
     """
 
-    n: int
     delta_support: SupportSet
     merged_support: SupportSet
     pruned_support: SupportSet
     residual_norm: float
-    intermediate: np.ndarray | None = None
-    estimate: np.ndarray | None = None
+    intermediate: np.ndarray
+    estimate: np.ndarray
     signal_error: float | None = None
     tail_energy: float | None = None
-
-
-class _CycleReplay(Sequence):
-    """Read-only records of a run whose state repeated after iteration
-    ``len(computed)``, matching the state after iteration ``first``.
-
-    Its length is ``n_max``.  The computed records are returned as they are;
-    the record of iteration k > len(computed) repeats iteration
-    first + 1 + (k - first - 1) % period and is built only when read, as a
-    copy of that record with ``n=k`` sharing its arrays.  ``residual_norms``
-    reads every iteration's residual from the computed records.
-    """
-
-    __slots__ = ("_computed", "_first", "_period", "_length")
-
-    def __init__(self, computed: list[IterationRecord], first: int, n_max: int) -> None:
-        self._computed = computed
-        self._first = first
-        self._period = len(computed) - first
-        self._length = n_max
-
-    def __len__(self) -> int:
-        return self._length
-
-    def _source(self, k: int) -> IterationRecord:
-        # The computed record that 0-based position k repeats (itself if computed).
-        return self._computed[k if k < self._first else self._first + (k - self._first) % self._period]
-
-    def _replayed(self, k: int) -> IterationRecord:
-        # k is a 0-based position past the computed records.
-        return replace(self._source(k), n=k + 1)
-
-    def residual_norms(self) -> list[float]:
-        return [self._source(k).residual_norm for k in range(self._length)]
-
-    def __getitem__(self, index):
-        # Indexing a range resolves negative indices, bounds and slices.
-        k = range(self._length)[index]
-        if isinstance(k, range):
-            return [self[i] for i in k]
-        return self._computed[k] if k < len(self._computed) else self._replayed(k)
-
-    def __iter__(self) -> Iterator[IterationRecord]:
-        yield from self._computed
-        for k in range(len(self._computed), self._length):
-            yield self._replayed(k)
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
     """Final state of a run and its per-iteration records.
 
-    ``iterations`` is a read-only sequence with one record per iteration:
-    it supports ``len``, indexing, slicing and iteration.  ``stop_reason`` is
-    ``residual`` when the residual criterion fired, ``cycle`` when the state
-    repeated bitwise (``iterations`` still has ``n_max`` records, and those
-    past the first repeat are built from the cycle when read) and ``cap``
-    when ``n_max`` was reached first.  It is not part of any output file.
+    ``iterations`` holds one record per iteration; record k (from 1) is
+    ``iterations[k - 1]``.  ``stop_reason`` is ``residual`` when the
+    residual criterion fired, ``cycle`` when the state repeated bitwise
+    (``iterations`` still has ``n_max`` entries, and those past the first
+    repeat are the computed records they repeat) and ``cap`` when ``n_max``
+    was reached first.  It is not part of any output file.
     """
 
     estimate: np.ndarray
     support: SupportSet
-    iterations: Sequence[IterationRecord] = field(default_factory=list)
+    iterations: list[IterationRecord] = field(default_factory=list)
     algorithm: str = SP
     stop_reason: str = "cap"
 
@@ -192,8 +143,6 @@ class RecoveryResult:
 
     @property
     def residual_history(self) -> list[float]:
-        if isinstance(self.iterations, _CycleReplay):
-            return self.iterations.residual_norms()
         return [rec.residual_norm for rec in self.iterations]
 
 
@@ -227,7 +176,6 @@ def _run(
     s: int,
     stop: StoppingRule,
     truth: np.ndarray | None,
-    trace: str,
 ) -> RecoveryResult:
     phi = as_matrix(phi)
     y = as_vector(y)
@@ -242,8 +190,6 @@ def _run(
             f"{algorithm} needs {merged_cap} <= m for full-rank least squares, "
             f"got s={s}, m={m}"
         )
-    if trace not in TRACE_LEVELS:
-        raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
 
     x_s = None
     if truth is not None:
@@ -251,16 +197,12 @@ def _run(
         if truth.shape[0] != n:
             raise ValueError(f"truth dim {truth.shape[0]} != matrix columns {n}")
         _, x_s = best_s_term(truth, s)
-        trace = "full"
-    keep_vectors = trace == "full"
 
     estimate = np.zeros(n)
     residual = y - phi @ estimate
     support = np.empty(0, dtype=np.intp)
     records: list[IterationRecord] = []
-    iterations: Sequence[IterationRecord] = records
-    # State after each iteration -> that iteration; insertion order makes
-    # the i-th key the state after iteration i + 1.
+    # State after each iteration -> that iteration.
     first_seen: dict[tuple[tuple[int, ...], bytes], int] = {}
     stop_reason = "cap"
     threshold = stop.residual_threshold
@@ -306,13 +248,12 @@ def _run(
             tail_energy = float(np.linalg.norm(tail))
         records.append(
             IterationRecord(
-                n=it,
                 delta_support=delta,
                 merged_support=merged,
                 pruned_support=pruned,
                 residual_norm=residual_norm,
-                intermediate=intermediate if keep_vectors else None,
-                estimate=estimate.copy() if keep_vectors else None,
+                intermediate=intermediate,
+                estimate=estimate.copy(),
                 signal_error=signal_error,
                 tail_energy=tail_energy,
             )
@@ -321,22 +262,20 @@ def _run(
             stop_reason = "residual"
             break
         # The next iteration is a pure function of this state.  If it equals
-        # the state after iteration `first`, iteration k > it would repeat
-        # iteration first + 1 + (k - first - 1) % period, so replay instead.
+        # the state after iteration `first`, iterations it + 1, it + 2, ...
+        # repeat iterations first + 1, ..., it in turn, so append those.
         first = first_seen.setdefault((pruned.indices, estimate.tobytes()), it)
         if first != it:
             stop_reason = "cycle"
-            period = it - first
-            iterations = _CycleReplay(records, first, stop.n_max)
-            indices, final = list(first_seen)[first - 1 + (stop.n_max - first) % period]
-            pruned = SupportSet(indices, n)
-            estimate = np.frombuffer(final).copy()
+            records += islice(cycle(records[first:]), stop.n_max - it)
+            pruned = records[-1].pruned_support
+            estimate = records[-1].estimate.copy()
             break
 
     return RecoveryResult(
         estimate=estimate,
         support=pruned,
-        iterations=iterations,
+        iterations=records,
         algorithm=algorithm,
         stop_reason=stop_reason,
     )
@@ -348,7 +287,6 @@ def subspace_pursuit(
     s: int,
     stop: StoppingRule | None = None,
     truth: np.ndarray | None = None,
-    trace: str = "norms",
 ) -> RecoveryResult:
     """Recover an s-sparse estimate of y = phi x by subspace pursuit.
 
@@ -357,7 +295,7 @@ def subspace_pursuit(
     raises ``SingularSupportError`` carrying the iteration and support; it
     is never silently regularized.
     """
-    return _run(SP, phi, y, s, stop or StoppingRule(), truth, trace)
+    return _run(SP, phi, y, s, stop or StoppingRule(), truth)
 
 
 def cosamp(
@@ -366,14 +304,13 @@ def cosamp(
     s: int,
     stop: StoppingRule | None = None,
     truth: np.ndarray | None = None,
-    trace: str = "norms",
 ) -> RecoveryResult:
     """Recover an s-sparse estimate by compressive sampling matching pursuit.
 
     Adds 2s candidates per iteration, solves one restricted least-squares
     problem, and prunes by plain truncation to the s largest entries.
     """
-    return _run(COSAMP, phi, y, s, stop or StoppingRule(), truth, trace)
+    return _run(COSAMP, phi, y, s, stop or StoppingRule(), truth)
 
 
 def audit_iteration(
@@ -383,12 +320,12 @@ def audit_iteration(
     delta: RicEstimate,
     algorithm: str,
 ) -> list[InequalityCheck]:
-    """Measure every provable inequality at one iteration of a traced run.
+    """Measure every provable inequality at one iteration of a run.
 
     ``delta`` must be an exactly certified constant of order >= 3s (SP) or
     4s (CoSaMP); ``prev`` is the previous iteration's record, or None for
-    the first iteration (zero estimate).  The run must have been made with
-    ground truth so vectors and error norms are on the records.
+    the first iteration (zero estimate).  The signal comes from
+    ``instance``, so the run need not have been given ground truth.
 
     Returned checks:
 
@@ -410,10 +347,6 @@ def audit_iteration(
     """
     if algorithm not in (SP, COSAMP):
         raise ValueError(f"algorithm must be {SP!r} or {COSAMP!r}, got {algorithm!r}")
-    if record.intermediate is None or record.estimate is None:
-        raise ValueError("audit needs a full trace (run with ground truth)")
-    if prev is not None and prev.estimate is None:
-        raise ValueError("audit needs a full trace for the previous iteration")
     order = certified_order(algorithm, instance.s)
     if delta.mode != "exact":
         raise ValueError("audit requires an exactly certified constant")
@@ -494,11 +427,12 @@ def audit_run(
     instance: SparseInstance,
     delta: RicEstimate,
 ) -> list[tuple[int, InequalityCheck]]:
-    """Audit every iteration of a traced run; returns (iteration, check) pairs."""
+    """Audit every iteration of a run; returns (iteration, check) pairs,
+    iterations numbered from 1."""
     out: list[tuple[int, InequalityCheck]] = []
     prev: IterationRecord | None = None
-    for record in result.iterations:
+    for it, record in enumerate(result.iterations, start=1):
         for check in audit_iteration(record, prev, instance, delta, result.algorithm):
-            out.append((record.n, check))
+            out.append((it, check))
         prev = record
     return out

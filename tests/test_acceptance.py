@@ -215,9 +215,9 @@ def test_criterion_6_noisy_envelope(ensemble):
                     stop=StoppingRule(epsilon=0.0, e_prime_norm_hint=1.0, n_max=8),
                     truth=x,
                 )
-                for rec in result.iterations:
+                for n, rec in enumerate(result.iterations, start=1):
                     checked += 1
-                    envelope = error_envelope(report, rec.n, x_norm, inst.e_prime_norm)
+                    envelope = error_envelope(report, n, x_norm, inst.e_prime_norm)
                     breaches += rec.signal_error > envelope + 1e-12
     elapsed = time.perf_counter() - start
     ok = breaches == 0 and checked > 0 and elapsed < 300.0

@@ -419,9 +419,9 @@ def reference_run(cfg):
                 trials.append(trial)
                 if cfg.experiment == "convergence":
                     details += [
-                        key | {"trial_index": ti, "iteration": rec.n, "residual_norm": rec.residual_norm,
+                        key | {"trial_index": ti, "iteration": it, "residual_norm": rec.residual_norm,
                                "signal_error": rec.signal_error, "tail_energy": rec.tail_energy}
-                        for rec in result.iterations
+                        for it, rec in enumerate(result.iterations, start=1)
                     ]
             if cfg.experiment != "convergence":
                 details += trials

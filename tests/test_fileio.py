@@ -126,6 +126,9 @@ def test_recovery_payload_trace_levels():
     full_payload = recovery_payload(result, trace="full")
     assert "estimate" in full_payload["iterations"][0]
     assert full_payload["schema_version"] == 1
+    assert [row["n"] for row in full_payload["iterations"]] == list(range(1, len(result.iterations) + 1))
+    with pytest.raises(ValueError, match="trace must be one of"):
+        recovery_payload(result, trace="verbose")
 
 
 # --- Reference: the per-token readers the fast paths replace -------------

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,8 +26,6 @@ from pursuitlab import (
     subspace_pursuit,
     top_k_magnitude,
 )
-from pursuitlab.fileio import recovery_payload
-from pursuitlab.recovery import TRACE_LEVELS
 from conftest import base_frame, instance_for, perturbed_frame, sparse_signal
 
 ALGORITHMS = [("SP", subspace_pursuit), ("CoSaMP", cosamp)]
@@ -108,22 +106,26 @@ def test_trace_invariants(name, run):
 
 
 def test_trace_levels():
+    # Every record carries both vectors; ground truth adds the error norms
+    # and changes nothing else.
     inst = make_instance("exact-sparse", 16, 32, 3, 0.0, 2)
-    norms = subspace_pursuit(inst.phi, inst.y, 3)
-    assert all(r.estimate is None and r.intermediate is None for r in norms.iterations)
-    assert all(r.signal_error is None for r in norms.iterations)
-    full = subspace_pursuit(inst.phi, inst.y, 3, trace="full")
-    assert all(r.estimate is not None for r in full.iterations)
+    plain = subspace_pursuit(inst.phi, inst.y, 3)
     with_truth = subspace_pursuit(inst.phi, inst.y, 3, truth=inst.x)
-    assert all(r.signal_error is not None for r in with_truth.iterations)
+    for result in (plain, with_truth):
+        for rec in result.iterations:
+            assert isinstance(rec.intermediate, np.ndarray) and isinstance(rec.estimate, np.ndarray)
+    assert all(r.signal_error is None and r.tail_energy is None for r in plain.iterations)
+    assert all(r.signal_error is not None and r.tail_energy is not None
+               for r in with_truth.iterations)
+    for got, want in zip(with_truth.iterations, plain.iterations, strict=True):
+        _same_record(replace(got, signal_error=None, tail_energy=None), want)
 
 
-def reference_run(name, phi, y, s, stop, truth, trace):
+def reference_run(name, phi, y, s, stop, truth):
     """The recovery loop without early exit, built from the public, validating
     kernels: every one of n_max iterations runs."""
     n = phi.shape[1]
     x_s = best_s_term(truth, s)[1] if truth is not None else None
-    keep_vectors = x_s is not None or trace == "full"
     estimate, support, records = np.zeros(n), SupportSet.empty(n), []
     for it in range(1, stop.n_max + 1):
         delta_support = top_k_magnitude(phi.T @ (y - phi @ estimate), s if name == "SP" else 2 * s)
@@ -138,9 +140,7 @@ def reference_run(name, phi, y, s, stop, truth, trace):
         truth_known = x_s is not None
         outside = SupportSet.from_iterable(set(range(n)) - set(support.indices), n)
         records.append(IterationRecord(
-            it, delta_support, merged, support, residual,
-            intermediate if keep_vectors else None,
-            estimate.copy() if keep_vectors else None,
+            delta_support, merged, support, residual, intermediate, estimate.copy(),
             float(np.linalg.norm(x_s - estimate)) if truth_known else None,
             float(np.linalg.norm(restrict(x_s, outside))) if truth_known else None,
         ))
@@ -164,42 +164,37 @@ def _bitwise_equal(a, b):
     seed=st.integers(0, 2**16),
     n_max=st.integers(1, 40),
     with_truth=st.booleans(),
-    trace=st.sampled_from(TRACE_LEVELS),
 )
 # Cycles of period 2, 3 and 5 whose replay ends mid-cycle.
-@example(name="SP", m=12, sigma=0.0, seed=98, n_max=7, with_truth=True, trace="norms")
-@example(name="CoSaMP", m=14, sigma=0.0, seed=68, n_max=11, with_truth=False, trace="full")
-@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=40, with_truth=True, trace="norms")
+@example(name="SP", m=12, sigma=0.0, seed=98, n_max=7, with_truth=True)
+@example(name="CoSaMP", m=14, sigma=0.0, seed=68, n_max=11, with_truth=False)
+@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=40, with_truth=True)
 # The converging regime of the benchmark's sweeps.
-@example(name="SP", m=40, sigma=0.0, seed=40, n_max=40, with_truth=False, trace="full")
-@example(name="CoSaMP", m=40, sigma=1e-3, seed=41, n_max=40, with_truth=True, trace="norms")
-@example(name="SP", m=48, sigma=1e-3, seed=48, n_max=40, with_truth=True, trace="none")
-@example(name="CoSaMP", m=48, sigma=0.0, seed=49, n_max=40, with_truth=False, trace="full")
-def test_cycle_replay_matches_full_run(name, m, sigma, seed, n_max, with_truth, trace):
+@example(name="SP", m=40, sigma=0.0, seed=40, n_max=40, with_truth=False)
+@example(name="CoSaMP", m=40, sigma=1e-3, seed=41, n_max=40, with_truth=True)
+@example(name="SP", m=48, sigma=1e-3, seed=48, n_max=40, with_truth=True)
+@example(name="CoSaMP", m=48, sigma=0.0, seed=49, n_max=40, with_truth=False)
+def test_cycle_replay_matches_full_run(name, m, sigma, seed, n_max, with_truth):
     inst = make_instance("exact-sparse", m, 64, 4, sigma, seed)
     stop = StoppingRule(n_max=n_max, e_prime_norm_hint=inst.e_prime_norm)
     truth = inst.x if with_truth else None
     run = subspace_pursuit if name == "SP" else cosamp
-    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth, trace=trace)
+    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth)
     estimate, support, records, converged = reference_run(
-        name, inst.phi, inst.y, 4, stop, truth, trace
+        name, inst.phi, inst.y, 4, stop, truth
     )
     assert result.estimate.tobytes() == estimate.tobytes()
     assert result.support == support
     assert result.converged == converged
     assert len(result.iterations) == len(records)
-    for got, want in zip(result.iterations, records):
+    for k, (got, want) in enumerate(zip(result.iterations, records), start=1):
         for f in fields(IterationRecord):
-            assert _bitwise_equal(getattr(got, f.name), getattr(want, f.name)), (got.n, f.name)
+            assert _bitwise_equal(getattr(got, f.name), getattr(want, f.name)), (k, f.name)
 
 
 def _same_record(got, want):
     for f in fields(IterationRecord):
-        assert _bitwise_equal(getattr(got, f.name), getattr(want, f.name)), (want.n, f.name)
-
-
-def _optional_ints(low, high):
-    return st.none() | st.integers(low, high)
+        assert _bitwise_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,63 +205,31 @@ def _optional_ints(low, high):
     seed=st.integers(0, 2**16),
     n_max=st.integers(1, 100),
     with_truth=st.booleans(),
-    trace=st.sampled_from(TRACE_LEVELS),
-    # Wrapped into [-len, len) below.
-    indices=st.lists(st.integers(0, 2**16), max_size=12),
-    windows=st.lists(
-        st.tuples(_optional_ints(-120, 120), _optional_ints(-120, 120),
-                  st.none() | st.integers(-7, 7).filter(bool)),
-        min_size=1, max_size=3,
-    ),
 )
 # Cycles of period 2 (SP) and 5 (CoSaMP) replayed to the default cap.
-@example(name="SP", m=12, sigma=0.0, seed=98, n_max=100, with_truth=True, trace="none",
-         indices=[5, 150], windows=[(None, None, -3), (97, 3, -1)])
-@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=100, with_truth=False, trace="full",
-         indices=[12, 13, 199], windows=[(10, 90, 7), (-5, None, None)])
-def test_cycling_iterations_read_like_the_full_list(name, m, sigma, seed, n_max, with_truth,
-                                                    trace, indices, windows):
-    # len, indices, slices and iteration of result.iterations all match the
-    # list of a run that computes every iteration, field by field and bitwise.
+@example(name="SP", m=12, sigma=0.0, seed=98, n_max=100, with_truth=True)
+@example(name="CoSaMP", m=14, sigma=0.0, seed=172, n_max=100, with_truth=False)
+def test_cycling_iterations_read_like_the_full_list(name, m, sigma, seed, n_max, with_truth):
+    # The records and residuals of a cycling run match those of a run that
+    # computes every iteration, field by field and bitwise.
     inst = make_instance("exact-sparse", m, 64, 4, sigma, seed)
     stop = StoppingRule(n_max=n_max, e_prime_norm_hint=inst.e_prime_norm)
     truth = inst.x if with_truth else None
     run = subspace_pursuit if name == "SP" else cosamp
-    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth, trace=trace)
-    records = reference_run(name, inst.phi, inst.y, 4, stop, truth, trace)[2]
-    view, count = result.iterations, len(records)
-    assert len(view) == count
-    for k in [i % (2 * count) - count for i in indices] + [0, -1, count // 2]:
-        _same_record(view[k], records[k])
-    for index in (count, -count - 1):
-        with pytest.raises(IndexError):
-            view[index]
-    for window in (slice(*bounds) for bounds in windows):
-        got = view[window]
-        assert len(got) == len(records[window])
-        for rec, want in zip(got, records[window]):
-            _same_record(rec, want)
-    for rec, want in zip(view, records, strict=True):
+    result = run(inst.phi, inst.y, 4, stop=stop, truth=truth)
+    records = reference_run(name, inst.phi, inst.y, 4, stop, truth)[2]
+    for rec, want in zip(result.iterations, records, strict=True):
         _same_record(rec, want)
     assert result.residual_history == [rec.residual_norm for rec in records]
-    # A replayed record shares its arrays with the computed record it repeats.
-    states = [(rec.pruned_support.indices, rec.estimate.tobytes())
-              for rec in records if rec.estimate is not None]
-    repeat = next((i for i in range(1, len(states)) if states[i] in states[:i]), None)
-    if repeat is not None:
-        first = states.index(states[repeat])
-        period = repeat - first
-        for k in range(repeat + 1, count):
-            source = view[first + 1 + (k - first - 1) % period]
-            assert view[k].estimate is source.estimate
-            assert view[k].intermediate is source.intermediate
 
 
 @pytest.mark.parametrize("name,run,m,seed", [
     ("SP", subspace_pursuit, 12, 98),
     ("CoSaMP", cosamp, 14, 172),
 ])
-def test_cycle_builds_records_only_when_read(name, run, m, seed, monkeypatch):
+def test_cycle_builds_each_record_once(name, run, m, seed, monkeypatch):
+    # A cycling run builds one record per computed iteration; each entry
+    # past the first repeat is the computed record it repeats, not a copy.
     built, selections = [], []
     build = IterationRecord.__init__
     select = pursuitlab.recovery.top_k_magnitude
@@ -282,44 +245,19 @@ def test_cycle_builds_records_only_when_read(name, run, m, seed, monkeypatch):
     monkeypatch.setattr(IterationRecord, "__init__", counted_build)
     monkeypatch.setattr(pursuitlab.recovery, "top_k_magnitude", counted_select)
     inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
-    result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=100), truth=inst.x)
+    result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=100))
     computed = len(selections) // 2  # identification and pruning
-    assert result.stop_reason == "cycle" and len(result.iterations) == 100
-    assert len(built) <= computed < 100
-    before = len(built)
-    assert result.iterations[-1].n == 100
-    assert len(built) == before + 1
-    assert [rec.n for rec in result.iterations] == list(range(1, 101))
-    assert len(built) == before + 1 + 100 - computed
-
-
-@pytest.mark.parametrize("name,run,m,seed", [
-    ("SP", subspace_pursuit, 12, 98),
-    ("CoSaMP", cosamp, 14, 172),
-])
-def test_residual_history_builds_no_records(name, run, m, seed, monkeypatch):
-    # The residuals of a cycling run are read from its computed records, so
-    # a `recover` payload builds replayed records only for its iteration list.
-    built = []
-    build = IterationRecord.__init__
-
-    def counted_build(self, *args, **kwargs):
-        built.append(None)
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(IterationRecord, "__init__", counted_build)
-    inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
-    result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=100), trace="none")
-    computed = len(built)
-    assert result.stop_reason == "cycle" and computed < 100
-    history = result.residual_history
-    assert len(built) == computed
-    assert recovery_payload(result, trace="none")["residual_history"] == history
-    assert len(built) == computed
-    payload = recovery_payload(result, trace="norms")
-    assert len(built) == 100  # the computed records, then each replayed one once
-    assert history == [row["residual_norm"] for row in payload["iterations"]]
-    assert history == [rec.residual_norm for rec in result.iterations]
+    records = result.iterations
+    assert result.stop_reason == "cycle" and len(records) == 100
+    assert len(built) == computed < 100
+    # The state after the last computed iteration first appeared after
+    # iteration j + 1, so iteration k + 1 > computed repeats iteration
+    # j + 2 + (k - j - 1) % period.
+    states = [(rec.pruned_support.indices, rec.estimate.tobytes()) for rec in records[:computed]]
+    j = states.index(states[-1])
+    period = computed - 1 - j
+    for k in range(computed, 100):
+        assert records[k] is records[j + 1 + (k - j - 1) % period]
 
 
 @pytest.mark.parametrize("name,run,m,solves_per_iteration", [
@@ -376,8 +314,6 @@ def test_preconditions():
         cosamp(phi, y, 3)  # 3s > m
     with pytest.raises(ValueError):
         subspace_pursuit(phi, np.zeros(5), 2)
-    with pytest.raises(ValueError):
-        subspace_pursuit(phi, y, 2, trace="verbose")
     with pytest.raises(ValueError):
         StoppingRule(n_max=0)
     # NaN once ran every iteration and inf "converged" after one.
@@ -483,16 +419,15 @@ def test_kernels_called_through_recovery_names(name, run, m, seed, solves_per_it
     seed=st.integers(0, 2**16),
     n_max=st.integers(1, 40),
     exact=st.booleans(),
-    trace=st.sampled_from(TRACE_LEVELS),
 )
 # SP's first pruning keeps the merged support (every SP run); a run capped
 # there returns the reused solution, which must not be the record's array.
-@example(name="SP", m=40, sigma=1e-3, seed=3, n_max=1, exact=False, trace="full")
+@example(name="SP", m=40, sigma=1e-3, seed=3, n_max=1, exact=False)
 # An SP fixed point: run past convergence, the new candidates all lie in the support.
-@example(name="SP", m=40, sigma=0.0, seed=35, n_max=20, exact=True, trace="full")
+@example(name="SP", m=40, sigma=0.0, seed=35, n_max=20, exact=True)
 # A CoSaMP merged support that repeats: a cycle of period 1.
-@example(name="CoSaMP", m=12, sigma=0.0, seed=1, n_max=40, exact=False, trace="full")
-def test_repeated_support_is_solved_once(name, m, sigma, seed, n_max, exact, trace):
+@example(name="CoSaMP", m=12, sigma=0.0, seed=1, n_max=40, exact=False)
+def test_repeated_support_is_solved_once(name, m, sigma, seed, n_max, exact):
     inst = make_instance("exact-sparse", m, 64, 4, sigma, seed)
     if exact:
         # Stops only at the cap or a cycle.
@@ -502,12 +437,12 @@ def test_repeated_support_is_solved_once(name, m, sigma, seed, n_max, exact, tra
     run = subspace_pursuit if name == "SP" else cosamp
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_kernel_calls(patch)
-        result = run(inst.phi, inst.y, 4, stop=stop, trace=trace)
+        result = run(inst.phi, inst.y, 4, stop=stop)
     computed = result.iterations[:calls["top_k_magnitude"] // 2]
     assert calls["least_squares_on_support"] == _distinct_solves(name, computed)
     for rec in result.iterations:
         for array in (rec.intermediate, rec.estimate):
-            assert array is None or not np.shares_memory(array, result.estimate)
+            assert not np.shares_memory(array, result.estimate)
 
 
 def test_residuals_logged_not_asserted_monotone():
@@ -530,8 +465,8 @@ class TestEnvelopes:
                 certified_base, certified_base @ x, 2,
                 stop=StoppingRule(epsilon_abs=0.0, n_max=6), truth=x,
             )
-            for rec in result.iterations:
-                assert rec.signal_error <= report.rho**rec.n * x_norm + 1e-9
+            for n, rec in enumerate(result.iterations, start=1):
+                assert rec.signal_error <= report.rho**n * x_norm + 1e-9
 
     def test_tail_energy_recursion(self, certified_base):
         delta = exact_ric(certified_base, 6)
@@ -546,8 +481,8 @@ class TestEnvelopes:
                 truth=x,
             )
             x_s_norm = np.linalg.norm(restrict(x, inst.s_support))
-            for rec in result.iterations:
-                bound = report.rho**rec.n * x_s_norm + report.tau * inst.e_prime_norm
+            for n, rec in enumerate(result.iterations, start=1):
+                bound = report.rho**n * x_s_norm + report.tau * inst.e_prime_norm
                 assert rec.tail_energy <= bound + 1e-9
 
 
@@ -636,9 +571,14 @@ class TestAudit:
         small = exact_ric(certified_base, 4)
         with pytest.raises(ValueError):
             audit_iteration(rec, prev, inst, small, "SP")
-        norms_only = subspace_pursuit(inst.phi, inst.y, 2, stop=StoppingRule(n_max=2))
-        with pytest.raises(ValueError):
-            audit_iteration(norms_only.iterations[-1], None, inst, delta, "SP")
+        # A run made without ground truth audits to bitwise the same checks.
+        plain = subspace_pursuit(inst.phi, inst.y, 2, stop=StoppingRule(epsilon_abs=0.0, n_max=4))
+        assert all(r.signal_error is None for r in plain.iterations)
+
+        def bits(checks):
+            return [(n, c.name, float.hex(c.lhs), float.hex(c.rhs), c.holds) for n, c in checks]
+
+        assert bits(audit_run(plain, inst, delta)) == bits(audit_run(result, inst, delta))
 
     def test_gaussian_fixture_audit_table(self):
         # Wider seeded case: the full measured table is produced and every
