@@ -26,6 +26,7 @@ from pursuitlab import (
     subspace_pursuit,
     top_k_magnitude,
 )
+from pursuitlab.fileio import recovery_payload
 from conftest import base_frame, instance_for, perturbed_frame, sparse_signal
 
 ALGORITHMS = [("SP", subspace_pursuit), ("CoSaMP", cosamp)]
@@ -227,9 +228,10 @@ def test_cycling_iterations_read_like_the_full_list(name, m, sigma, seed, n_max,
     ("SP", subspace_pursuit, 12, 98),
     ("CoSaMP", cosamp, 14, 172),
 ])
-def test_cycle_builds_each_record_once(name, run, m, seed, monkeypatch):
-    # A cycling run builds one record per computed iteration; each entry
-    # past the first repeat is the computed record it repeats, not a copy.
+def test_cycle_builds_records_only_when_read(name, run, m, seed, monkeypatch):
+    # A cycling run builds one record per computed iteration and reading its
+    # list builds none; each entry past the first repeat is the computed
+    # record it repeats, not a copy.
     built, selections = [], []
     build = IterationRecord.__init__
     select = pursuitlab.recovery.top_k_magnitude
@@ -258,6 +260,36 @@ def test_cycle_builds_each_record_once(name, run, m, seed, monkeypatch):
     period = computed - 1 - j
     for k in range(computed, 100):
         assert records[k] is records[j + 1 + (k - j - 1) % period]
+    assert len(built) == computed
+
+
+@pytest.mark.parametrize("name,run,m,seed", [
+    ("SP", subspace_pursuit, 12, 98),
+    ("CoSaMP", cosamp, 14, 172),
+])
+def test_residual_history_builds_no_records(name, run, m, seed, monkeypatch):
+    # The residuals of a cycling run, and its `recover` payload at every
+    # trace level, are read from the records the run built.
+    built = []
+    build = IterationRecord.__init__
+
+    def counted_build(self, *args, **kwargs):
+        built.append(None)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(IterationRecord, "__init__", counted_build)
+    inst = make_instance("exact-sparse", m, 64, 4, 0.0, seed)
+    result = run(inst.phi, inst.y, 4, stop=StoppingRule(n_max=100))
+    computed = len(built)
+    assert result.stop_reason == "cycle" and computed < 100
+    history = result.residual_history
+    assert len(history) == 100
+    assert recovery_payload(result, trace="none")["residual_history"] == history
+    payload = recovery_payload(result, trace="norms")
+    recovery_payload(result, trace="full")
+    assert len(built) == computed
+    assert history == [row["residual_norm"] for row in payload["iterations"]]
+    assert history == [rec.residual_norm for rec in result.iterations]
 
 
 @pytest.mark.parametrize("name,run,m,solves_per_iteration", [
