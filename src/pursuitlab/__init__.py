@@ -25,7 +25,6 @@ from .recovery import (
     IterationRecord,
     RecoveryResult,
     StoppingRule,
-    audit_iteration,
     audit_run,
     cosamp,
     subspace_pursuit,
@@ -61,7 +60,6 @@ __all__ = [
     "SparseInstance",
     "StoppingRule",
     "SupportSet",
-    "audit_iteration",
     "audit_run",
     "best_s_term",
     "bounds_for",

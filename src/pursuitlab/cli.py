@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import COSAMP, SP, SP_DM, SP_LBJ, SP_TAIL, bounds_for, canonical_family, delta_for_rho
-from .experiments import ExperimentConfig, run_experiment, write_results
+from .experiments import ExperimentConfig, run_experiment, trials_path, write_results
 from .fileio import (
     BOUND_FIELDS,
     TRACE_LEVELS,
@@ -126,9 +126,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.per_trial:
         config = dataclasses.replace(config, per_trial=True)
+    # Fail before the first cell, not after the last.
     out = Path(config.output_path)  # the .trials file shares its directory
-    if not out.parent.is_dir():  # fail before the first cell, not after the last
+    if not out.parent.is_dir():
         raise ValueError(f"cannot write {out}: no directory {out.parent}")
+    if out.is_dir():  # before trials_path, which rejects a path with no name
+        raise ValueError(f"cannot write {out}: it is a directory")
+    if config.per_trial and trials_path(out).is_dir():
+        raise ValueError(f"cannot write {trials_path(out)}: it is a directory")
     cell_rows, detail_rows = run_experiment(config)
     written = write_results(config, cell_rows, detail_rows)
     # A cell is skipped for one algorithm or for all; count each cell once.

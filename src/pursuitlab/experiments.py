@@ -27,7 +27,7 @@ no per-trial rows.  Aggregated rows go to ``output_path``; per-trial (or
 per-iteration) rows go alongside it when ``per_trial`` is set.  Both files
 stream through ``fileio.write_rows``, and ``bounds-table`` rows are
 ``fileio.bound_row``, as the CLI prints them.  A config built in Python
-gets the type checks of one read from JSON.
+gets the defaults and the type checks of one read from JSON.
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ class GridCell:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    algorithms: tuple[str, ...]
-    grid: tuple[GridCell, ...]
-    trials_per_cell: int
-    master_seed: int
-    output_path: str
+    algorithms: tuple[str, ...] = (SP,)
+    grid: tuple[GridCell, ...] = ()
+    trials_per_cell: int = 1
+    master_seed: int = 0
+    output_path: str = "results.csv"
     success_threshold: float = 1e-4
     kind: str = "exact-sparse"
     per_trial: bool = False
@@ -146,63 +146,42 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config a parsed JSON object describes; a missing field takes
+        its default.  JSON has one number type, so an integral float is an
+        integer, and a JSON list is a tuple."""
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
 
-        def listed(field: str, default: list, entry: type = object) -> list:
-            value = raw.get(field, default)
-            if not isinstance(value, list):
-                raise ValueError(f"'{field}' must be a list, got {value!r}")
-            for item in value:
-                if not isinstance(item, entry):
-                    raise ValueError(f"each '{field}' entry must be an object, got {item!r}")
-            return value
-
-        def field(source: dict, name: str, default=None, where: str = ""):
-            """``source[name]``, whose type the config checks; ``default``
-            when missing, which None makes an error.  JSON has one number
-            type, so an integral float is an integer."""
-            if name not in source:
-                if default is None:
-                    raise ValueError(f"missing required field '{name}'{where}")
-                return default
-            value = source[name]
-            if name in _INTEGER_FIELDS and isinstance(value, float) and value.is_integer():
-                return int(value)
-            return value
-
-        def known(source: dict, names, where: str = "") -> None:
-            """Reject a key of ``source`` that names no field, which would
+        def read(source: dict, names, required: tuple[str, ...], where: str = "") -> dict:
+            """``source`` with an integral float in an integer field read as
+            an int.  A key that names no field is rejected: it would
             otherwise be ignored and its field left at its default."""
-            for key in source:
+            values = {}
+            for key, value in source.items():
                 if key not in names:
                     raise ValueError(f"unknown field '{key}'{where}")
+                integral = key in _INTEGER_FIELDS and isinstance(value, float) and value.is_integer()
+                values[key] = int(value) if integral else value
+            for name in required:
+                if name not in values:
+                    raise ValueError(f"missing required field '{name}'{where}")
+            return values
 
-        known(raw, {f.name for f in fields(cls)})
-        cells = listed("grid", [], dict)
-        for c in cells:
-            known(c, ("m", "N", "s", "noise_sigma"), " in a 'grid' entry")
-        grid = tuple(
-            GridCell(
-                *(field(c, name, where=" in a 'grid' entry") for name in ("m", "N", "s")),
-                field(c, "noise_sigma", 0.0),
-            )
-            for c in cells
-        )
-        return cls(
-            experiment=field(raw, "experiment"),
-            algorithms=tuple(listed("algorithms", [SP])),
-            grid=grid,
-            trials_per_cell=field(raw, "trials_per_cell", 1),
-            master_seed=field(raw, "master_seed", 0),
-            output_path=field(raw, "output_path", "results.csv"),
-            success_threshold=field(raw, "success_threshold", 1e-4),
-            kind=field(raw, "kind", "exact-sparse"),
-            per_trial=field(raw, "per_trial", False),
-            ric_budget=field(raw, "ric_budget", DEFAULT_ENUMERATION_BUDGET),
-            deltas=tuple(listed("deltas", [])),
-            families=tuple(listed("families", [])),
-        )
+        def cell(entry) -> GridCell:
+            if not isinstance(entry, dict):
+                raise ValueError(f"each 'grid' entry must be an object, got {entry!r}")
+            c = read(entry, ("m", "N", "s", "noise_sigma"), ("m", "N", "s"), " in a 'grid' entry")
+            return GridCell(c["m"], c["N"], c["s"], c.get("noise_sigma", 0.0))
+
+        values = read(raw, {f.name for f in fields(cls)}, ("experiment",))
+        for name in ("algorithms", "grid", "deltas", "families"):
+            if name in values:
+                if not isinstance(values[name], list):
+                    raise ValueError(f"'{name}' must be a list, got {values[name]!r}")
+                values[name] = tuple(values[name])
+        if "grid" in values:
+            values["grid"] = tuple(map(cell, values["grid"]))
+        return cls(**values)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":

@@ -45,12 +45,15 @@ first iteration, where the merged support is the s new candidates), the
 first solve at an SP fixed point whose candidates all lie in the support,
 and a CoSaMP merged support that repeats.
 
-``audit_iteration`` re-measures, on the records of any run, every
-per-iteration inequality that is provable from a certified isometry
-constant; with a certified constant below the algorithm's threshold a
-reported violation means a bug, not bad luck.  Ground truth passed to a
-run only adds the error norms ``signal_error`` and ``tail_energy`` to its
-records; the audit takes the signal from the instance.
+``audit_run`` re-measures, on the records of any run, every per-iteration
+inequality that is provable from a certified isometry constant; with a
+certified constant below the algorithm's threshold a reported violation
+means a bug, not bad luck.  It checks the run's algorithm and the
+constant's mode and order, and computes x_s, the slack, the bounds and the
+correlation ceiling (an SVD of phi), once per run, then walks the records
+carrying the previous signal error.  Ground truth passed to a run only
+adds the error norms ``signal_error`` and ``tail_energy`` to its records;
+the audit takes the signal from the instance.
 """
 
 from __future__ import annotations
@@ -313,21 +316,21 @@ def cosamp(
     return _run(COSAMP, phi, y, s, stop or StoppingRule(), truth)
 
 
-def audit_iteration(
-    record: IterationRecord,
-    prev: IterationRecord | None,
+def audit_run(
+    result: RecoveryResult,
     instance: SparseInstance,
     delta: RicEstimate,
-    algorithm: str,
-) -> list[InequalityCheck]:
-    """Measure every provable inequality at one iteration of a run.
+) -> list[tuple[int, InequalityCheck]]:
+    """Measure every provable inequality at every iteration of a run.
 
-    ``delta`` must be an exactly certified constant of order >= 3s (SP) or
-    4s (CoSaMP); ``prev`` is the previous iteration's record, or None for
-    the first iteration (zero estimate).  The signal comes from
-    ``instance``, so the run need not have been given ground truth.
+    Returns (iteration, check) pairs, iterations numbered from 1, so
+    iteration n's checks are the pairs whose first entry is n.  ``delta``
+    must be an exactly certified constant of order >= 3s (SP) or 4s
+    (CoSaMP).  The signal comes from ``instance``, so the run need not have
+    been given ground truth; the first iteration starts from the zero
+    estimate.
 
-    Returned checks:
+    Checks per iteration:
 
     * ``identification``   - energy of x_s missed by the merged support,
     * ``debiasing``        - error of the restricted least-squares solution
@@ -345,6 +348,7 @@ def audit_iteration(
     Comparisons allow a relative slack of 1e-10 so machine-precision ties
     do not read as violations of exact-arithmetic theorems.
     """
+    algorithm = result.algorithm
     if algorithm not in (SP, COSAMP):
         raise ValueError(f"algorithm must be {SP!r} or {COSAMP!r}, got {algorithm!r}")
     order = certified_order(algorithm, instance.s)
@@ -357,82 +361,65 @@ def audit_iteration(
         )
 
     phi, y = as_matrix(instance.phi), as_vector(instance.y)
-    n = phi.shape[1]
     x_s = restrict(instance.x, instance.s_support)
     e_norm = instance.e_prime_norm
     d = delta.value
-    prev_estimate = prev.estimate if prev is not None else np.zeros(n)
-    prev_error = float(np.linalg.norm(x_s - prev_estimate))
-
-    slack = AUDIT_SLACK * max(1.0, float(np.linalg.norm(x_s)))
-    checks: list[InequalityCheck] = []
-
-    def add(name: str, lhs: float, rhs: float) -> None:
-        checks.append(InequalityCheck(name, lhs, rhs, lhs <= rhs + slack))
-
-    merged = record.merged_support.as_array()
-    dropped = merged[~np.isin(merged, record.pruned_support.as_array())]
-    missed = x_s.copy()
-    missed[merged] = 0.0
-    missed_norm = float(np.linalg.norm(missed))
-    mid_error = float(np.linalg.norm(x_s - record.intermediate))
-    end_error = float(np.linalg.norm(x_s - record.estimate))
-
-    add(
-        "identification",
-        missed_norm,
-        np.sqrt(2.0) * d * prev_error + np.sqrt(2.0 * (1.0 + d)) * e_norm,
-    )
-    add(
-        "debiasing",
-        float(np.linalg.norm((x_s - record.intermediate)[merged])),
-        d * mid_error + np.sqrt(1.0 + d) * e_norm,
-    )
-    if d < 1.0:
-        add(
-            "metric-relation",
-            mid_error,
-            np.sqrt(1.0 / (1.0 - d * d)) * missed_norm + np.sqrt(1.0 + d) / (1.0 - d) * e_norm,
-        )
-    add(
-        "pruning",
-        float(np.linalg.norm(x_s[dropped])),
-        np.sqrt(2.0) * d * mid_error + np.sqrt(2.0 * (1.0 + d)) * e_norm,
-    )
+    # ||x_s - x^0|| with x^0 = 0; after iteration n it is iteration n's end error.
+    prev_error = float(np.linalg.norm(x_s))
+    slack = AUDIT_SLACK * max(1.0, prev_error)
     report = bounds_for(algorithm, d) if d < 1.0 else None
-    if report is not None and report.valid:
-        add(
-            "contraction",
-            end_error,
-            report.rho * prev_error + (1.0 - report.rho) * report.tau * e_norm,
-        )
-
     # Residual-correlation checks: exact zeros in exact arithmetic, so the
     # ceiling is pure float noise scaled by the problem.
     ortho_scale = AUDIT_SLACK * float(np.linalg.norm(phi, 2)) * float(np.linalg.norm(y))
-    mid_corr = phi.T @ (y - phi @ record.intermediate)
-    add("orthogonality-merged", float(np.abs(mid_corr[merged]).max()), ortho_scale)
-    if algorithm == SP:
-        end_corr = phi.T @ (y - phi @ record.estimate)
-        add(
-            "orthogonality-pruned",
-            float(np.abs(end_corr[record.pruned_support.as_array()]).max()),
-            ortho_scale,
-        )
-    return checks
+    checks: list[tuple[int, InequalityCheck]] = []
 
+    def add(name: str, lhs: float, rhs: float) -> None:
+        checks.append((it, InequalityCheck(name, float(lhs), float(rhs), bool(lhs <= rhs + slack))))
 
-def audit_run(
-    result: RecoveryResult,
-    instance: SparseInstance,
-    delta: RicEstimate,
-) -> list[tuple[int, InequalityCheck]]:
-    """Audit every iteration of a run; returns (iteration, check) pairs,
-    iterations numbered from 1."""
-    out: list[tuple[int, InequalityCheck]] = []
-    prev: IterationRecord | None = None
     for it, record in enumerate(result.iterations, start=1):
-        for check in audit_iteration(record, prev, instance, delta, result.algorithm):
-            out.append((it, check))
-        prev = record
-    return out
+        merged = record.merged_support.as_array()
+        dropped = merged[~np.isin(merged, record.pruned_support.as_array())]
+        missed = x_s.copy()
+        missed[merged] = 0.0
+        missed_norm = float(np.linalg.norm(missed))
+        mid_error = float(np.linalg.norm(x_s - record.intermediate))
+        end_error = float(np.linalg.norm(x_s - record.estimate))
+
+        add(
+            "identification",
+            missed_norm,
+            np.sqrt(2.0) * d * prev_error + np.sqrt(2.0 * (1.0 + d)) * e_norm,
+        )
+        add(
+            "debiasing",
+            float(np.linalg.norm((x_s - record.intermediate)[merged])),
+            d * mid_error + np.sqrt(1.0 + d) * e_norm,
+        )
+        if d < 1.0:
+            add(
+                "metric-relation",
+                mid_error,
+                np.sqrt(1.0 / (1.0 - d * d)) * missed_norm + np.sqrt(1.0 + d) / (1.0 - d) * e_norm,
+            )
+        add(
+            "pruning",
+            float(np.linalg.norm(x_s[dropped])),
+            np.sqrt(2.0) * d * mid_error + np.sqrt(2.0 * (1.0 + d)) * e_norm,
+        )
+        if report is not None and report.valid:
+            add(
+                "contraction",
+                end_error,
+                report.rho * prev_error + (1.0 - report.rho) * report.tau * e_norm,
+            )
+        mid_corr = phi.T @ (y - phi @ record.intermediate)
+        add("orthogonality-merged", float(np.abs(mid_corr[merged]).max()), ortho_scale)
+        if algorithm == SP:
+            end_corr = phi.T @ (y - phi @ record.estimate)
+            add(
+                "orthogonality-pruned",
+                float(np.abs(end_corr[record.pruned_support.as_array()]).max()),
+                ortho_scale,
+            )
+        prev_error = end_error
+    return checks

@@ -354,27 +354,45 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
 
 @pytest.mark.parametrize("per_trial", [False, True])
 def test_experiment_checks_output_directory_before_any_cell(tmp_path, capsys, monkeypatch, per_trial):
-    # An output path in a missing directory fails before the first cell runs,
-    # with one error line and no file written, instead of after the last.
+    # An output path in a missing directory, or one that is a directory (as
+    # is its .trials sibling when per-trial rows are written), fails before
+    # the first cell runs, with one error line and no file written, instead
+    # of after the last.
     cells = []
     run_cell = experiments._run_cell
     monkeypatch.setattr(experiments, "_run_cell", lambda config, ci: cells.append(ci) or run_cell(config, ci))
+    monkeypatch.chdir(tmp_path)
     cfg = {
         "experiment": "phase-transition",
         "algorithms": ["SP"],
         "grid": [{"m": 12, "N": 24, "s": 2}] * 4,
-        "output_path": str(tmp_path / "missing" / "res.csv"),
     }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
     args = ["experiment", "--config", str(cfg_path)] + ["--per-trial"] * per_trial
-    assert main(args) == 1
-    out, err = capsys.readouterr()
-    assert cells == []
-    assert out == "" and err == f"error: cannot write {cfg['output_path']}: no directory {tmp_path / 'missing'}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-    # With the directory in place the same config runs every cell.
-    (tmp_path / "missing").mkdir()
+    res = tmp_path / "missing" / "res.csv"
+    blocked = [
+        (res, f"no directory {tmp_path / 'missing'}"),
+        (".", "it is a directory"),
+        ("", "it is a directory"),
+        (tmp_path, "it is a directory"),
+    ]
+    for output_path, reason in blocked:
+        cfg_path.write_text(json.dumps(cfg | {"output_path": str(output_path)}))
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert cells == []
+        assert out == "" and err == f"error: cannot write {Path(output_path)}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    # With the directory in place the same config runs every cell, unless
+    # the .trials file it writes is a directory.
+    trials = res.parent / "res.trials.csv"
+    trials.mkdir(parents=True)
+    cfg_path.write_text(json.dumps(cfg | {"output_path": str(res)}))
+    if per_trial:
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: cannot write {trials}: it is a directory\n"
+        assert cells == [] and not res.exists()
+        trials.rmdir()
     assert main(args) == 0
     assert cells == [0, 1, 2, 3]
 

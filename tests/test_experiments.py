@@ -180,6 +180,16 @@ def test_config_validation():
     assert cells == run_experiment(ExperimentConfig(**good))[0]
 
 
+def test_python_config_takes_the_json_defaults():
+    # The defaults are declared once, on the dataclass: a config built in
+    # Python equals the one read from the same minimal JSON.
+    built = ExperimentConfig("bounds-table", deltas=(0.2,), families=("sp",))
+    assert built == ExperimentConfig.from_dict({"experiment": "bounds-table", "deltas": [0.2], "families": ["sp"]})
+    assert (built.algorithms, built.grid, built.trials_per_cell, built.master_seed, built.output_path) == (
+        ("SP",), (), 1, 0, "results.csv"
+    )
+
+
 def test_rows_are_deterministic(tmp_path):
     cfg = ExperimentConfig.from_dict(
         config_dict(output_path=str(tmp_path / "a.csv"), per_trial=True,

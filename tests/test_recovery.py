@@ -12,7 +12,6 @@ from pursuitlab import (
     SingularSupportError,
     StoppingRule,
     SupportSet,
-    audit_iteration,
     audit_run,
     best_s_term,
     cosamp,
@@ -543,10 +542,10 @@ class TestAudit:
         # Once the estimate sits on the true signal with no perturbation,
         # every audited left-hand side collapses to numerical zero.
         result, inst, delta = self._audited_run(certified_base)
-        last = result.iterations[-1]
-        prev = result.iterations[-2]
-        assert prev.signal_error <= 1e-12
-        checks = audit_iteration(last, prev, inst, delta, "SP")
+        last = len(result.iterations)
+        assert result.iterations[-2].signal_error <= 1e-12
+        checks = [c for n, c in audit_run(result, inst, delta) if n == last]
+        assert checks
         for check in checks:
             assert check.holds
             assert check.lhs <= 1e-9
@@ -579,6 +578,18 @@ class TestAudit:
         assert all(c.holds for _, c in checks)
         assert all(c.name != "orthogonality-pruned" for _, c in checks)
 
+    def test_checks_have_their_annotated_types(self, certified_base):
+        # lhs and rhs are Python floats and holds a Python bool on every
+        # check, those computed with numpy scalars included.
+        sp_run, inst, _ = self._audited_run(certified_base)
+        cosamp_run = cosamp(inst.phi, inst.y, 2, stop=StoppingRule(epsilon_abs=0.0, n_max=4))
+        for result, order in ((sp_run, 6), (cosamp_run, 8)):
+            checks = audit_run(result, inst, exact_ric(certified_base, order))
+            assert {"identification", "debiasing", "metric-relation", "pruning"} <= {c.name for _, c in checks}
+            for _, check in checks:
+                assert type(check.lhs) is float and type(check.rhs) is float
+                assert type(check.holds) is bool
+
     def test_uncontractive_delta_still_tables_provable_rows(self):
         # A wide Gaussian matrix certifies far above 1; rows whose hypotheses
         # need a constant below 1 are omitted, the rest still hold.
@@ -596,13 +607,17 @@ class TestAudit:
 
     def test_audit_preconditions(self, certified_base):
         result, inst, delta = self._audited_run(certified_base)
-        rec, prev = result.iterations[-1], result.iterations[-2]
         low = sampled_ric_lower_bound(certified_base, 6, trials=5, seed=1)
-        with pytest.raises(ValueError):
-            audit_iteration(rec, prev, inst, low, "SP")
+        with pytest.raises(ValueError, match="exactly certified"):
+            audit_run(result, inst, low)
         small = exact_ric(certified_base, 4)
-        with pytest.raises(ValueError):
-            audit_iteration(rec, prev, inst, small, "SP")
+        with pytest.raises(ValueError, match="certified order 4 too small: SP with s=2 needs order >= 6"):
+            audit_run(result, inst, small)
+        # The order needed is the run's algorithm's: 6 certifies SP, not CoSaMP.
+        with pytest.raises(ValueError, match="CoSaMP with s=2 needs order >= 8"):
+            audit_run(replace(result, algorithm="CoSaMP"), inst, delta)
+        with pytest.raises(ValueError, match="algorithm must be 'SP' or 'CoSaMP', got 'OMP'"):
+            audit_run(replace(result, algorithm="OMP"), inst, delta)
         # A run made without ground truth audits to bitwise the same checks.
         plain = subspace_pursuit(inst.phi, inst.y, 2, stop=StoppingRule(epsilon_abs=0.0, n_max=4))
         assert all(r.signal_error is None for r in plain.iterations)
