@@ -10,13 +10,8 @@ from .bounds import (
     SP_TAIL,
     BoundReport,
     bounds_for,
-    cosamp_bounds,
     delta_for_rho,
-    dm_sp_bounds,
     error_envelope,
-    lbj_sp_bounds,
-    sp_bounds,
-    sp_tail_metric_bounds,
 )
 from .experiments import ExperimentConfig, GridCell, run_experiment, write_results
 from .linalg import SingularSupportError, least_squares_on_support, spectral_norm_symmetric
@@ -64,21 +59,16 @@ __all__ = [
     "best_s_term",
     "bounds_for",
     "cosamp",
-    "cosamp_bounds",
     "delta_for_rho",
     "derive_seed",
-    "dm_sp_bounds",
     "error_envelope",
     "exact_ric",
-    "lbj_sp_bounds",
     "least_squares_on_support",
     "make_instance",
     "restrict",
     "rip_sandwich_check",
     "run_experiment",
     "sampled_ric_lower_bound",
-    "sp_bounds",
-    "sp_tail_metric_bounds",
     "spectral_norm_symmetric",
     "subspace_pursuit",
     "top_k_magnitude",

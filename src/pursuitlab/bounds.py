@@ -10,10 +10,12 @@ hence ``||x_s - x^n|| <= rho^n ||x_s|| + tau ||e'||`` whenever ``rho < 1``
 (``x_s`` the best s-term approximation of the signal, ``e'`` the total
 perturbation).  Families:
 
-* ``SP``              - subspace pursuit, signal-error metric (delta at order 3s).
+* ``SP``              - subspace pursuit, signal-error metric (delta at order 3s):
+                        rho = sqrt(2 d^2 (1 + d^2)) / (1 - d^2).
 * ``SP-tail-metric``  - subspace pursuit, energy outside the current support;
                         same rho as ``SP``, different tau.
-* ``CoSaMP``          - compressive sampling matching pursuit (order 4s).
+* ``CoSaMP``          - compressive sampling matching pursuit (order 4s):
+                        rho = sqrt(2 d^2 (1 + 2 d^2) / (1 - d^2)).
 * ``SP-LBJ-prior``    - earlier published SP bound (LBJ), for comparison.
 * ``SP-DM-prior``     - the original SP bound (DM), tail metric, for comparison.
 
@@ -181,7 +183,9 @@ def _thresholds(family: str) -> tuple[float, float]:
     return delta_for_rho(family, 1.0), delta_for_rho(family, 0.5)
 
 
-def _report(family: str, delta: float) -> BoundReport:
+def bounds_for(family: str, delta: float) -> BoundReport:
+    """Report for any family by name or alias at ``delta``."""
+    family = canonical_family(family)
     check_real(delta, "delta", 0, DELTA_MAX)
     delta = float(delta)
     rho = _RHO[family](delta)
@@ -197,39 +201,6 @@ def _report(family: str, delta: float) -> BoundReport:
         threshold_rho1=rho1,
         threshold_rho_half=rho_half,
     )
-
-
-def sp_bounds(delta: float) -> BoundReport:
-    """SP rate/coefficient at ``delta`` (isometry order 3s):
-    rho = sqrt(2 d^2 (1 + d^2)) / (1 - d^2)."""
-    return _report(SP, delta)
-
-
-def sp_tail_metric_bounds(delta: float) -> BoundReport:
-    """SP bound on the energy outside the current support; rho equals
-    ``sp_bounds(delta).rho``, the coefficient differs."""
-    return _report(SP_TAIL, delta)
-
-
-def cosamp_bounds(delta: float) -> BoundReport:
-    """CoSaMP rate/coefficient at ``delta`` (isometry order 4s):
-    rho = sqrt(2 d^2 (1 + 2 d^2) / (1 - d^2))."""
-    return _report(COSAMP, delta)
-
-
-def lbj_sp_bounds(delta: float) -> BoundReport:
-    """Earlier published SP bound (LBJ variant), for side-by-side comparison."""
-    return _report(SP_LBJ, delta)
-
-
-def dm_sp_bounds(delta: float) -> BoundReport:
-    """Original SP bound (DM variant, tail metric), for comparison."""
-    return _report(SP_DM, delta)
-
-
-def bounds_for(family: str, delta: float) -> BoundReport:
-    """Report for any family by name."""
-    return _report(canonical_family(family), delta)
 
 
 def error_envelope(

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import COSAMP, SP, SP_DM, SP_LBJ, SP_TAIL, bounds_for, canonical_family, delta_for_rho
-from .experiments import ExperimentConfig, run_experiment, trials_path, write_results
+from .bounds import SP, SP_DM, SP_LBJ, SP_TAIL, bounds_for, canonical_family, delta_for_rho
+from .experiments import ExperimentConfig, run_experiment, write_results
 from .fileio import (
     BOUND_FIELDS,
     TRACE_LEVELS,
@@ -43,8 +43,6 @@ from .fileio import (
 from .recovery import StoppingRule, cosamp, subspace_pursuit
 from .ric import DEFAULT_ENUMERATION_BUDGET, exact_ric, sampled_ric_lower_bound
 from .signals import KINDS, make_instance
-
-_ALGORITHMS = {"sp": SP, "cosamp": COSAMP}
 
 _COMPARE_FAMILIES = (SP, SP_TAIL, SP_LBJ, SP_DM)
 
@@ -66,7 +64,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         e_prime_norm_hint=args.e_prime_norm,
         epsilon_abs=args.epsilon_abs,
     )
-    run = subspace_pursuit if _ALGORITHMS[args.algorithm] == SP else cosamp
+    run = subspace_pursuit if canonical_family(args.algorithm) == SP else cosamp
     result = run(phi, y, args.sparsity, stop=stop, truth=truth)
     _emit(dump_json(recovery_payload(result, trace=args.trace)), args.output)
     return 0 if result.converged else 2
@@ -126,14 +124,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.per_trial:
         config = dataclasses.replace(config, per_trial=True)
-    # Fail before the first cell, not after the last.
-    out = Path(config.output_path)  # the .trials file shares its directory
-    if not out.parent.is_dir():
-        raise ValueError(f"cannot write {out}: no directory {out.parent}")
-    if out.is_dir():  # before trials_path, which rejects a path with no name
-        raise ValueError(f"cannot write {out}: it is a directory")
-    if config.per_trial and trials_path(out).is_dir():
-        raise ValueError(f"cannot write {trials_path(out)}: it is a directory")
     cell_rows, detail_rows = run_experiment(config)
     written = write_results(config, cell_rows, detail_rows)
     # A cell is skipped for one algorithm or for all; count each cell once.
@@ -187,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--measurements", required=True)
     p.add_argument("--sparsity", "-s", type=int, required=True)
-    p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="sp")
+    p.add_argument("--algorithm", choices=("cosamp", "sp"), default="sp")
     p.add_argument("--truth", help="optional signal file enabling error traces")
     p.add_argument("--trace", choices=TRACE_LEVELS, default="norms")
     p.add_argument("--epsilon", type=float, default=1.0)

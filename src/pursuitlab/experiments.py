@@ -12,8 +12,9 @@ Kinds:
   success threshold.
 * ``convergence``      - same runs, plus per-iteration residual/error rows.
 * ``audit``            - certify the exact isometry constant of every
-  trial matrix (skipping cells whose enumeration exceeds the budget) and
-  count inequality violations over instrumented runs.
+  trial matrix (skipping cells whose enumeration exceeds the budget or
+  whose certified order exceeds N) and count inequality violations over
+  instrumented runs.
 * ``bounds-table``     - tabulate rho/tau over a delta grid per family
   (no randomness; uses ``deltas`` and ``families`` instead of the grid).
 
@@ -24,8 +25,9 @@ algorithm on it and keeps each algorithm's trial row (and, for
 loop.  A trial whose perturbation norm overflows to inf ends the loop, and
 the cell is marked skipped, with its reason, for every algorithm and keeps
 no per-trial rows.  Aggregated rows go to ``output_path``; per-trial (or
-per-iteration) rows go alongside it when ``per_trial`` is set.  Both files
-stream through ``fileio.write_rows``, and ``bounds-table`` rows are
+per-iteration) rows go alongside it when ``per_trial`` is set;
+``run_experiment`` checks that both can be written before the first cell.
+Both files stream through ``fileio.write_rows``, and ``bounds-table`` rows are
 ``fileio.bound_row``, as the CLI prints them.  A config built in Python
 gets the defaults and the type checks of one read from JSON.
 """
@@ -193,16 +195,39 @@ def trials_path(output_path: str | Path) -> Path:
     return p.with_name(p.stem + ".trials" + p.suffix)
 
 
+def _output_files(config: ExperimentConfig) -> list[tuple[Path, list[str]]]:
+    """The (path, columns) of each file ``write_results`` writes: the cell
+    file, then the per-trial (or per-iteration) file.  Raises ``ValueError``
+    for a file that could not be opened for writing."""
+    out = Path(config.output_path)  # the .trials file shares its directory
+    if not out.parent.is_dir():
+        raise ValueError(f"cannot write {out}: no directory {out.parent}")
+    if out.is_dir():  # before trials_path, which rejects a path with no name
+        raise ValueError(f"cannot write {out}: it is a directory")
+    if config.experiment == "bounds-table":
+        return [(out, BOUNDS_COLUMNS)]
+    files = [(out, CELL_COLUMNS)]
+    if config.per_trial:
+        trials = trials_path(out)
+        if trials.is_dir():
+            raise ValueError(f"cannot write {trials}: it is a directory")
+        files.append((trials, ITERATION_COLUMNS if config.experiment == "convergence" else TRIAL_COLUMNS))
+    return files
+
+
 def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], list[dict]]:
     """Run every trial of one grid cell; returns its cell rows and detail rows."""
     cell = config.grid[cell_index]
-    # Audit cells whose exhaustive certification would blow the budget are
-    # skipped per algorithm, never silently degraded.
+    # Audit cells with no support of the certified order, or whose exhaustive
+    # certification would blow the budget, are skipped per algorithm, never
+    # silently degraded.
     skipped: dict[str, str] = {}
     if config.experiment == "audit":
         for alg in config.algorithms:
             order = certified_order(alg, cell.s)
-            if order > cell.n or math.comb(cell.n, order) > config.ric_budget:
+            if order > cell.n:
+                skipped[alg] = f"certified order {order} exceeds N={cell.n}"
+            elif math.comb(cell.n, order) > config.ric_budget:
                 skipped[alg] = "enumeration budget exceeded"
     key = {"schema_version": SCHEMA_VERSION, "experiment": config.experiment, "cell_index": cell_index}
     head = {alg: key | {"algorithm": alg} for alg in config.algorithms}
@@ -287,7 +312,10 @@ def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], li
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[dict], list[dict]]:
-    """Execute the experiment; returns (aggregated rows, detail rows)."""
+    """Execute the experiment; returns (aggregated rows, detail rows).
+    Raises ``ValueError`` before the first cell if ``write_results`` could
+    not write the config's files."""
+    _output_files(config)
     if config.experiment == "bounds-table":
         pairs = itertools.product(config.families, config.deltas)
         head = {"schema_version": SCHEMA_VERSION, "experiment": config.experiment}
@@ -306,15 +334,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 def write_results(config: ExperimentConfig, cell_rows: list[dict], detail_rows: list[dict]) -> list[Path]:
     """Persist result rows; returns the paths written."""
-    out = Path(config.output_path)
-    if config.experiment == "bounds-table":
-        files = [(out, cell_rows, BOUNDS_COLUMNS)]
-    else:
-        files = [(out, cell_rows, CELL_COLUMNS)]
-        if config.per_trial:
-            columns = ITERATION_COLUMNS if config.experiment == "convergence" else TRIAL_COLUMNS
-            files.append((trials_path(out), detail_rows, columns))
-    for path, rows, columns in files:
+    files = _output_files(config)
+    for (path, columns), rows in zip(files, (cell_rows, detail_rows)):
         with open(path, "w", newline="") as fh:
             write_rows(fh, rows, columns)
-    return [path for path, _, _ in files]
+    return [path for path, _ in files]

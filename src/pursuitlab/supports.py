@@ -1,8 +1,7 @@
 """Index sets over a fixed coordinate universe.
 
 A support is an immutable, ascending tuple of column/coordinate indices
-together with the ambient dimension it indexes into.  Supports are hashable
-and safe to share between threads.
+together with the ambient dimension it indexes into.  Supports are hashable.
 """
 
 from __future__ import annotations

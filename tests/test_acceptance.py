@@ -24,21 +24,17 @@ from pursuitlab import (
     SP,
     StoppingRule,
     audit_run,
+    bounds_for,
     cosamp,
-    cosamp_bounds,
     delta_for_rho,
     derive_seed,
-    dm_sp_bounds,
     error_envelope,
     exact_ric,
-    lbj_sp_bounds,
     sampled_ric_lower_bound,
-    sp_bounds,
-    sp_tail_metric_bounds,
     subspace_pursuit,
     top_k_magnitude,
 )
-from pursuitlab.bounds import SP_DM, SP_LBJ
+from pursuitlab.bounds import SP_DM, SP_LBJ, SP_TAIL
 from conftest import (
     FRAME_COUNT,
     instance_for,
@@ -97,10 +93,10 @@ def test_criterion_2_half_rate_constants():
 def test_criterion_3_error_coefficients():
     start = time.perf_counter()
     measured = {
-        "sp": sp_bounds(0.3063).tau,
-        "sp-lbj": lbj_sp_bounds(0.2324).tau,
-        "sp-tail": sp_tail_metric_bounds(0.3063).tau,
-        "sp-dm": dm_sp_bounds(0.1397).tau,
+        "sp": bounds_for(SP, 0.3063).tau,
+        "sp-lbj": bounds_for(SP_LBJ, 0.2324).tau,
+        "sp-tail": bounds_for(SP_TAIL, 0.3063).tau,
+        "sp-dm": bounds_for(SP_DM, 0.1397).tau,
     }
     elapsed = time.perf_counter() - start
     expected = {"sp": 13.1303, "sp-lbj": 21.1886, "sp-tail": 11.3213, "sp-dm": 12.3219}
@@ -195,11 +191,7 @@ def test_criterion_6_noisy_envelope(ensemble):
     breaches = 0
     for entry in ensemble.certified:
         phi = perturbed_frame(entry.matrix_seed)
-        report = (
-            sp_bounds(entry.delta_value)
-            if entry.algorithm == SP
-            else cosamp_bounds(entry.delta_value)
-        )
+        report = bounds_for(entry.algorithm, entry.delta_value)
         run = subspace_pursuit if entry.algorithm == SP else cosamp
         for k in range(SIGNALS_PER_MATRIX):
             x = sparse_signal(16, 2, seed=signal_seed(entry.matrix_seed, k))

@@ -3,16 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from pursuitlab import (
-    bounds_for,
-    cosamp_bounds,
-    delta_for_rho,
-    dm_sp_bounds,
-    error_envelope,
-    lbj_sp_bounds,
-    sp_bounds,
-    sp_tail_metric_bounds,
-)
+from pursuitlab import bounds_for, delta_for_rho, error_envelope
 from pursuitlab.bounds import COSAMP, FAMILIES, SP, SP_DM, SP_LBJ, SP_TAIL, canonical_family
 
 ROOT2 = np.sqrt(2.0)
@@ -22,62 +13,62 @@ class TestZeroDelta:
     """At delta = 0 every family collapses to a clean constant."""
 
     def test_sp(self):
-        r = sp_bounds(0.0)
+        r = bounds_for(SP, 0.0)
         assert r.rho == 0.0
         assert r.tau == pytest.approx(2 * ROOT2 + 1, abs=1e-12)
 
     def test_sp_tail(self):
-        r = sp_tail_metric_bounds(0.0)
+        r = bounds_for(SP_TAIL, 0.0)
         assert r.rho == 0.0
         assert r.tau == pytest.approx(2 * ROOT2, abs=1e-12)
 
     def test_cosamp(self):
-        r = cosamp_bounds(0.0)
+        r = bounds_for(COSAMP, 0.0)
         assert r.rho == 0.0
         assert r.tau == pytest.approx(2 * ROOT2 + 1, abs=1e-12)
 
     def test_lbj(self):
-        r = lbj_sp_bounds(0.0)
+        r = bounds_for(SP_LBJ, 0.0)
         assert r.rho == 0.0
         assert r.tau == pytest.approx(6.0, abs=1e-12)
 
     def test_dm(self):
-        r = dm_sp_bounds(0.0)
+        r = bounds_for(SP_DM, 0.0)
         assert r.rho == 0.0
         assert r.tau == pytest.approx(4.0, abs=1e-12)
 
 
 class TestHeadlineConstants:
     def test_sp_at_half_rate(self):
-        r = sp_bounds(0.3063)
+        r = bounds_for(SP, 0.3063)
         assert r.rho == pytest.approx(0.5, abs=5e-4)
         assert r.tau == pytest.approx(13.1303, abs=5e-3)
 
     def test_sp_boundary(self):
-        assert sp_bounds(0.48586).rho == pytest.approx(1.0, abs=1e-3)
-        assert not sp_bounds(0.4859).valid
+        assert bounds_for(SP, 0.48586).rho == pytest.approx(1.0, abs=1e-3)
+        assert not bounds_for(SP, 0.4859).valid
 
     def test_sp_tail_shares_rate(self):
         for delta in np.linspace(0.0, 0.48, 25):
-            assert sp_tail_metric_bounds(delta).rho == sp_bounds(delta).rho
+            assert bounds_for(SP_TAIL, delta).rho == bounds_for(SP, delta).rho
 
     def test_sp_tail_coefficient(self):
-        assert sp_tail_metric_bounds(0.3063).tau == pytest.approx(11.3213, abs=5e-3)
+        assert bounds_for(SP_TAIL, 0.3063).tau == pytest.approx(11.3213, abs=5e-3)
 
     def test_cosamp_at_half_rate(self):
-        assert cosamp_bounds(0.3083).rho == pytest.approx(0.5, abs=5e-4)
+        assert bounds_for(COSAMP, 0.3083).rho == pytest.approx(0.5, abs=5e-4)
 
     def test_cosamp_boundary_exact(self):
         # 4 d^4 + 3 d^2 - 1 = 0 at d = 1/2, in exact binary arithmetic.
-        assert cosamp_bounds(0.5).rho == 1.0
+        assert bounds_for(COSAMP, 0.5).rho == 1.0
 
     def test_lbj_at_half_rate(self):
-        r = lbj_sp_bounds(0.2324)
+        r = bounds_for(SP_LBJ, 0.2324)
         assert r.rho == pytest.approx(0.5, abs=5e-4)
         assert r.tau == pytest.approx(21.1886, abs=5e-3)
 
     def test_dm_at_half_rate(self):
-        r = dm_sp_bounds(0.1397)
+        r = bounds_for(SP_DM, 0.1397)
         assert r.rho == pytest.approx(0.5, abs=5e-4)
         assert r.tau == pytest.approx(12.3219, abs=5e-3)
 
@@ -148,27 +139,27 @@ class TestShapeProperties:
     def test_sp_validity_polynomial(self):
         # rho < 1 exactly where d^4 + 4 d^2 - 1 < 0.
         for d in np.linspace(0.0, 0.99, 100):
-            assert (sp_bounds(d).rho < 1.0) == (d**4 + 4 * d**2 - 1 < 0)
+            assert (bounds_for(SP, d).rho < 1.0) == (d**4 + 4 * d**2 - 1 < 0)
 
     def test_cosamp_validity_polynomial(self):
         # rho < 1 exactly where 4 d^4 + 3 d^2 - 1 < 0.
         for d in np.linspace(0.0, 0.99, 100):
-            assert (cosamp_bounds(d).rho < 1.0) == (4 * d**4 + 3 * d**2 - 1 < 0)
+            assert (bounds_for(COSAMP, d).rho < 1.0) == (4 * d**4 + 3 * d**2 - 1 < 0)
 
     def test_lbj_never_beats_sp(self):
         for d in np.linspace(0.0, 0.32, 65):
-            assert lbj_sp_bounds(d).rho >= sp_bounds(d).rho - 1e-12
+            assert bounds_for(SP_LBJ, d).rho >= bounds_for(SP, d).rho - 1e-12
 
     def test_invalid_reports(self):
-        r = sp_bounds(0.6)
+        r = bounds_for(SP, 0.6)
         assert not r.valid and r.tau is None
-        r = dm_sp_bounds(0.3)
+        r = bounds_for(SP_DM, 0.3)
         assert not r.valid and r.tau is None
 
     def test_delta_domain(self):
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                sp_bounds(bad)
+                bounds_for(SP, bad)
 
     def test_family_aliases(self):
         assert canonical_family("sp-tail") == SP_TAIL
@@ -178,31 +169,31 @@ class TestShapeProperties:
 
 class TestErrorEnvelope:
     def test_initial_iteration(self):
-        r = sp_bounds(0.3)
+        r = bounds_for(SP, 0.3)
         assert error_envelope(r, 0, 2.5, 0.0) == 2.5
 
     def test_geometric_decay(self):
-        r = sp_bounds(0.3)
+        r = bounds_for(SP, 0.3)
         values = [error_envelope(r, n, 1.0, 0.0) for n in range(12)]
         for a, b in zip(values, values[1:]):
             assert b == pytest.approx(a * r.rho, rel=1e-12)
 
     def test_headline_arithmetic(self):
-        r = sp_bounds(0.3063)
+        r = bounds_for(SP, 0.3063)
         # About 0.5^10 + 13.1303 * 0.01 with the rate not exactly one half.
         assert error_envelope(r, 10, 1.0, 0.01) == pytest.approx(0.1323, abs=1e-3)
 
     def test_requires_contraction(self):
         with pytest.raises(ValueError):
-            error_envelope(sp_bounds(0.6), 1, 1.0, 0.0)
+            error_envelope(bounds_for(SP, 0.6), 1, 1.0, 0.0)
         with pytest.raises(ValueError):
-            error_envelope(sp_bounds(0.3), -1, 1.0, 0.0)
+            error_envelope(bounds_for(SP, 0.3), -1, 1.0, 0.0)
 
     def test_unrolled_recursion_matches(self):
         # Iterating e_n = rho e_{n-1} + (1 - rho) tau ||e'|| from ||x_s||
         # gives rho^n ||x_s|| + tau (1 - rho^n) ||e'||, which the envelope
         # dominates and approaches as n grows.
-        r = cosamp_bounds(0.25)
+        r = bounds_for(COSAMP, 0.25)
         x_norm, e_norm = 3.0, 0.05
         value = x_norm
         for n in range(1, 40):

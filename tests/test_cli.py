@@ -395,6 +395,16 @@ def test_experiment_checks_output_directory_before_any_cell(tmp_path, capsys, mo
         trials.rmdir()
     assert main(args) == 0
     assert cells == [0, 1, 2, 3]
+    # A bounds-table config writes no .trials file, so a directory there
+    # does not stop it, per-trial or not.
+    (tmp_path / "b.trials.csv").mkdir()
+    cfg_path.write_text(json.dumps({"experiment": "bounds-table", "deltas": [0.2], "families": ["sp"],
+                                    "output_path": "b.csv"}))
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == "wrote b.csv\n"
+    assert (tmp_path / "b.csv").stat().st_size > 0
+    assert list((tmp_path / "b.trials.csv").iterdir()) == []
 
 
 def test_stopping_flags_reach_library(fixture_files):

@@ -14,6 +14,7 @@ from pursuitlab import (
     bounds_for,
     cosamp,
     exact_ric,
+    experiments,
     make_instance,
     run_experiment,
     subspace_pursuit,
@@ -206,6 +207,32 @@ def test_rows_are_deterministic(tmp_path):
     assert trials_path(tmp_path / "a.csv").exists()
 
 
+def test_run_experiment_checks_output_files_before_any_cell(tmp_path, monkeypatch):
+    # A Python caller gets the CLI's checks on the files write_results will
+    # write before the first cell runs, not an OSError after the last.
+    cells = []
+    run_cell = experiments._run_cell
+    monkeypatch.setattr(experiments, "_run_cell", lambda config, ci: cells.append(ci) or run_cell(config, ci))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.trials.csv").mkdir()
+    missing = tmp_path / "missing" / "res.csv"
+    blocked = [
+        (".", False, "cannot write .: it is a directory"),
+        ("", False, "cannot write .: it is a directory"),
+        (str(missing), False, f"cannot write {missing}: no directory {missing.parent}"),
+        ("res.csv", True, "cannot write res.trials.csv: it is a directory"),
+    ]
+    for output_path, per_trial, message in blocked:
+        cfg = ExperimentConfig.from_dict(config_dict(output_path=output_path, per_trial=per_trial))
+        with pytest.raises(ValueError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == message
+        assert cells == []
+    # Without per-trial rows the .trials directory is in nobody's way.
+    run_experiment(ExperimentConfig.from_dict(config_dict(output_path="res.csv")))
+    assert cells == [0]
+
+
 def test_phase_transition_rates_sensible():
     cfg = ExperimentConfig.from_dict(
         config_dict(
@@ -264,6 +291,7 @@ def test_audit_counts_zero_and_skips_over_budget():
             grid=[
                 {"m": 15, "N": 16, "s": 2, "noise_sigma": 0.0},
                 {"m": 40, "N": 80, "s": 5, "noise_sigma": 0.0},
+                {"m": 8, "N": 10, "s": 4, "noise_sigma": 0.0},
             ],
             trials_per_cell=2,
             ric_budget=20000,
@@ -272,10 +300,11 @@ def test_audit_counts_zero_and_skips_over_budget():
     cells, details = run_experiment(cfg)
     ran = [r for r in cells if not r["skipped"]]
     skipped = [r for r in cells if r["skipped"]]
-    assert len(ran) == 1 and len(skipped) == 1
+    assert len(ran) == 1 and len(skipped) == 2
     assert ran[0]["audit_violations"] == 0
     assert ran[0]["delta_order"] == 6
-    assert skipped[0]["skip_reason"] == "enumeration budget exceeded"
+    # The last cell has no support of SP's certified order 3s = 12 at all.
+    assert [r["skip_reason"] for r in skipped] == ["enumeration budget exceeded", "certified order 12 exceeds N=10"]
     assert all(d["audit_violations"] == 0 for d in details)
 
 

@@ -26,7 +26,6 @@ from pursuitlab import (
     make_instance,
     rip_sandwich_check,
     sampled_ric_lower_bound,
-    sp_bounds,
     spectral_norm_symmetric,
     subspace_pursuit,
 )
@@ -193,9 +192,9 @@ NUMBER_ARGUMENTS = {
     "make_instance.seed": (lambda v: make_instance("exact-sparse", 8, 16, 2, 0.0, v), "seed", 3, -1),
     "bounds_for.delta": (lambda v: bounds_for("SP", v), "delta", 0.0, 1.0),
     "delta_for_rho.target_rho": (lambda v: delta_for_rho("SP", v), "target_rho", 1.0, 0.0),
-    "error_envelope.n": (lambda v: error_envelope(sp_bounds(0.2), v, 1.0, 0.0), "n", 2, -1),
-    "error_envelope.x_s_norm": (lambda v: error_envelope(sp_bounds(0.2), 2, v, 0.0), "x_s_norm", 1.0, -1.0),
-    "error_envelope.e_prime_norm": (lambda v: error_envelope(sp_bounds(0.2), 2, 1.0, v), "e_prime_norm", 0.0, -1.0),
+    "error_envelope.n": (lambda v: error_envelope(bounds_for("SP", 0.2), v, 1.0, 0.0), "n", 2, -1),
+    "error_envelope.x_s_norm": (lambda v: error_envelope(bounds_for("SP", 0.2), 2, v, 0.0), "x_s_norm", 1.0, -1.0),
+    "error_envelope.e_prime_norm": (lambda v: error_envelope(bounds_for("SP", 0.2), 2, 1.0, v), "e_prime_norm", 0.0, -1.0),
     "exact_ric.budget": (lambda v: exact_ric(np.eye(4), 2, budget=v), "budget", 6, 0),
     "rip_sandwich_check.delta": (lambda v: rip_sandwich_check(np.eye(4), np.ones(4), v), "delta", 0.0, -0.1),
     "derive_seed.parts": (lambda v: derive_seed(7, v), "parts[1]", 3, None),

@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 
 import pursuitlab.recovery
 from pursuitlab import (
+    SP,
+    SP_TAIL,
     IterationRecord,
     SingularSupportError,
     StoppingRule,
     SupportSet,
     audit_run,
     best_s_term,
+    bounds_for,
     cosamp,
     exact_ric,
     least_squares_on_support,
     make_instance,
     restrict,
     sampled_ric_lower_bound,
-    sp_bounds,
-    sp_tail_metric_bounds,
     subspace_pursuit,
     top_k_magnitude,
 )
@@ -488,7 +489,7 @@ def test_residuals_logged_not_asserted_monotone():
 class TestEnvelopes:
     def test_noiseless_signal_envelope_dominates(self, certified_base):
         delta = exact_ric(certified_base, 6)
-        report = sp_bounds(delta.value)
+        report = bounds_for(SP, delta.value)
         for k in range(5):
             x = sparse_signal(16, 2, seed=300 + k)
             x_norm = np.linalg.norm(x)
@@ -501,7 +502,7 @@ class TestEnvelopes:
 
     def test_tail_energy_recursion(self, certified_base):
         delta = exact_ric(certified_base, 6)
-        report = sp_tail_metric_bounds(delta.value)
+        report = bounds_for(SP_TAIL, delta.value)
         noise = 1e-3 * rng(31).normal(size=15)
         for k in range(5):
             x = sparse_signal(16, 2, seed=400 + k)
