@@ -16,16 +16,23 @@ round-trip digits, nearest the value; positional for 1e-4 <= |v| < 1e16):
 the tests check it against ``repr`` on random bit patterns and on every
 power of two and of ten, and against golden ``gen`` files.
 
-``read_matrix`` and ``read_vector`` read the file once into padded words
-(``floattext.read_padded``).  When its first line is exactly the header
-and the rest is in the form the writers produce (rows of comma-separated
-tokens in the lane grammar, each ending in a newline),
-``floattext.read_floats`` parses it on numpy lanes, bit for bit as
-``float()``.  Any other file goes to the per-token reader, which decodes
-UTF-8, splits lines as ``str.splitlines`` does and calls ``float()`` on
-each token; it is the only source of error messages.  Text the lanes take
-has no byte that ``splitlines`` or ``float()`` treats specially, so both
-readers give it the same values.
+``read_matrix`` and ``read_vector`` read the first line, and when it is
+exactly the header hand the rest of the file to
+``floattext.read_floats``.  That reads it through one reused window of 2
+MB, widened to 25 bytes a value when one row of the writers' form
+(values of at most 24 bytes and a separator each) may need more.  It
+parses the window's whole rows on numpy lanes, bit for bit as
+``float()``, into the result, and moves the partial last row to the
+window's front.  So reading holds the result, the window and under 3 MB
+of scratch, whatever the file's size.  A window that is not in the form
+the writers produce (rows of comma-separated tokens in the lane grammar,
+each ending in a newline), a row count other than the header's, or bytes
+after the last newline send the file to the per-token reader, the only
+one that holds the whole file: it decodes UTF-8, splits lines as
+``str.splitlines`` does and calls ``float()`` on each token, and is the
+only source of error messages.  Text the lanes take has no byte that
+``splitlines`` or ``float()`` treats specially, so both readers give it
+the same values.
 
 Result rows (the ``bounds`` command and every experiment file) go through
 one CSV writer, ``write_rows``: floats in shortest round-trip form,
@@ -46,7 +53,7 @@ from typing import TextIO
 import numpy as np
 
 from .bounds import BoundReport
-from .floattext import read_floats, read_padded, write_floats
+from .floattext import read_floats, write_floats
 from .linalg import as_matrix, as_vector
 from .recovery import RecoveryResult
 from .ric import RicEstimate
@@ -101,13 +108,13 @@ def _header(line: str, kind: str, path: str) -> tuple[int, ...]:
     return dims
 
 
-def _read_text(path: str, text: np.ndarray, kind: str) -> np.ndarray:
+def _read_text(path: str, text: bytes, kind: str) -> np.ndarray:
     """The per-token reader: any text ``float()`` takes, blank lines skipped,
     and the first error in file order."""
     try:
         lines = str(text, "utf-8").splitlines()
     except UnicodeDecodeError as err:
-        line_no = 1 + int(np.count_nonzero(text[: err.start] == ord("\n")))
+        line_no = 1 + text.count(b"\n", 0, err.start)
         raise FileFormatError(f"{path}: line {line_no}: not UTF-8 text") from None
     form, _, body_noun = _FORMS[kind]
     if not lines:
@@ -128,18 +135,17 @@ def _read_text(path: str, text: np.ndarray, kind: str) -> np.ndarray:
 def _read(path: str | Path, kind: str) -> np.ndarray:
     path = str(path)
     with open(path, "rb") as f:
-        words, text = read_padded(f)
-    # A canonical header with dimensions below 10**19 is shorter than 64 bytes.
-    head, newline, _ = text[:64].tobytes().partition(b"\n")
-    try:
-        dims = _header(head.decode("latin-1"), kind, path) if newline else None
-    except FileFormatError:
-        dims = None
-    if dims:
-        values = read_floats(words, len(head) + 1, text.size, dims[0], dims[1] if kind == "dense" else 1)
+        # A canonical header with dimensions below 10**19 is shorter than 64 bytes.
+        head = f.readline(64)
+        try:
+            dims = _header(head[:-1].decode("latin-1"), kind, path) if head.endswith(b"\n") else None
+        except FileFormatError:
+            dims = None
+        values = read_floats(f, dims[0], dims[1] if kind == "dense" else 1) if dims else None
         if values is not None:
             return values.reshape(dims)
-    return _read_text(path, text, kind)
+        f.seek(0)
+        return _read_text(path, f.read(), kind)
 
 
 def write_matrix(path: str | Path, phi: np.ndarray) -> None:

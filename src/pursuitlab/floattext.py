@@ -22,11 +22,12 @@ computed on numpy lanes a chunk at a time, in three steps:
    point inserted by shifts of 64-bit words, then exponent and terminator;
    a byte mask of the valid bytes gathers the slots of a chunk.
 
-``read_floats`` reads such text back, bit for bit as ``float()``, from
-the zero-padded words ``read_padded`` fills: lines of comma-separated
-tokens of at most 24 bytes in the grammar
-``-?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]{1,3})?``, and None for any other text.
-It takes a piece of about _LANES tokens at a time:
+``read_floats`` reads such text back from a file, bit for bit as
+``float()``: lines of comma-separated tokens of at most 24 bytes in the
+grammar ``-?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]{1,3})?``, and None for any other
+text.  It reads the file into one window of zero-padded words, finds the
+window's newlines once, and takes its whole lines a piece of about _LANES
+tokens at a time:
 
 1. The separators, by two byte compares, must come in rows of
    ``per_line``, the last of each a newline.
@@ -320,9 +321,12 @@ def write_floats(stream, values: np.ndarray, per_line: int) -> None:
         stream.write(_format(x, ends * _EXP_ROWS, ws))
 
 
-_PAD = 32  # zero bytes before and after the text in a read_padded buffer
-_LANES = 16384  # tokens per piece: faster than 8,192 or 32,768 on a 22 MB file
-_SCAN = 1 << 20
+_PAD = 32  # zero bytes before and after the window
+# Bytes of text read at a time, unless a line needs more.  With windows of
+# 512 KB or 1 MB the cli-large benchmark's peak RSS was 109-111 MB, against
+# 100.5-100.7 MB with this one: glibc lays out its heap differently.
+_WINDOW = 1 << 21
+_LANES = 8192  # tokens per piece, about 160 bytes each live at the peak
 _Q_MIN, _Q_MAX = -342, 308
 _BYTES = 0x0101010101010101
 _ALL = _U(2**64 - 1)
@@ -381,9 +385,9 @@ def _parse(words: np.ndarray, text: np.ndarray, starts: np.ndarray, ends: np.nda
     np.right_shift(g[:3], sh, out=w[:3])
     g[1:] <<= _U(64) - sh
     w[:3] |= g[1:]
-    keep = np.maximum((24 - length + neg) * 8 - _WORD_BITS, 0)
+    del at, sh, g  # lanes are freed once dead: they set the reader's peak memory
     w[:3] ^= _ZEROS
-    w[:3] &= _ALL << keep.view(np.uint64)
+    w[:3] &= _ALL << np.maximum((24 - length + neg) * 8 - _WORD_BITS, 0).view(np.uint64)
     w[:3] ^= _ZEROS
     # Exponent: its digits, with "0"s below them, go to w[3]; then the
     # mantissa moves up to the end of the window, over it.
@@ -399,6 +403,7 @@ def _parse(words: np.ndarray, text: np.ndarray, starts: np.ndarray, ends: np.nda
     w[:3] <<= s
     w[1:3] |= carry
     w[0] |= _ZEROS >> (_U(64) - s)
+    del s, first, signed, carry
     # Point: the bytes up to the last "." move up one, over it.
     dots = _bytes_equal(w[:3], ord(".")) << np.array([[0], [8], [16]], np.uint64)
     point = (np.bitwise_or.reduce(dots).astype(np.float64).view(np.int64) >> 52) - 1023
@@ -412,6 +417,7 @@ def _parse(words: np.ndarray, text: np.ndarray, starts: np.ndarray, ends: np.nda
     nfrac = np.where(frac, 23 - point, 0)
     bad = (length - (explen2 >> _U(1)).view(np.int64) - neg - nfrac - frac < 1) | (frac & (nfrac == 0))
     bad |= length > 24
+    del dots, moved, length, explen2, point, frac
     # Every byte a digit; then 8 digits per word, by SWAR.
     w ^= _ZEROS
     x = ((w & _U(0x7F * _BYTES)) + _U(0x76 * _BYTES)) | w
@@ -423,10 +429,11 @@ def _parse(words: np.ndarray, text: np.ndarray, starts: np.ndarray, ends: np.nda
         w &= _U(mask)
     # Mantissa m < 10**19 and exponent q; mn is m shifted to its top bit.
     m = w[0] * _U(10**16) + w[1] * _U(10**8) + w[2]
-    q = w[3].view(np.int64)
+    q = w[3].astype(np.int64)
     np.negative(q, out=q, where=eneg)
     q -= nfrac + _Q_MIN
     slow = (w[0] >= _U(1000)) | (q.view(np.uint64) > _U(_Q_MAX - _Q_MIN))
+    del w, x
     g = t["pow5"].take(q, mode="wrap")
     f = m.astype(np.float64).view(np.int64) >> 52
     f -= (m >> (f - 1023).view(np.uint64)) == 0
@@ -438,6 +445,7 @@ def _parse(words: np.ndarray, text: np.ndarray, starts: np.ndarray, ends: np.nda
     mid = (p00 >> _U(32)) + (p01 & _M32) + (p10 & _M32)
     hi = a1 * g + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
     lo = (mid << _U(32)) | (p00 & _M32)
+    del a0, a1, b0, p00, p01, p10, mid
     # The true product lies in [hi:lo, hi:lo + mn): float() takes the lanes
     # where that interval may hold a rounding boundary, or a tie.
     low9 = hi & _U(0x1FF)
@@ -456,43 +464,45 @@ def _parse(words: np.ndarray, text: np.ndarray, starts: np.ndarray, ends: np.nda
     return bits, bad.any(), slow
 
 
-def read_padded(f) -> tuple[np.ndarray, np.ndarray]:
-    """``(words, text)``: the bytes of the binary file ``f`` as ``text``, a
-    uint8 view of the little-endian words ``words``, with _PAD zero bytes
-    before and after it.  The file is read once, straight into them."""
-    size = os.fstat(f.fileno()).st_size
-    words = np.zeros((size + 2 * _PAD + 7) // 8, "<u8")
-    text = words.view(np.uint8)[_PAD : _PAD + size]
-    return words, text[: f.readinto(text)]
-
-
-def read_floats(words: np.ndarray, begin: int, end: int, rows: int, per_line: int) -> np.ndarray | None:
-    """The values of the text in bytes [begin, end) of the file that
-    ``read_padded`` read into ``words``: ``rows`` lines of ``per_line``
-    comma-separated tokens in the grammar, of at most 24 bytes each, each
-    line ending in a newline.  None if the text is not of that form or a
-    value is not finite."""
-    text = words.view(np.uint8)[_PAD : _PAD + end]
-    scans = [np.flatnonzero(text[i : i + _SCAN] == 10) + i for i in range(begin, end, _SCAN)]
-    lines = np.concatenate(scans or [[-1]])
-    if lines.size != rows or lines[-1] != end - 1 or 2 * rows * per_line > end - begin:
+def read_floats(f, rows: int, per_line: int) -> np.ndarray | None:
+    """The values of the rest of the binary file ``f``: ``rows`` lines of
+    ``per_line`` comma-separated tokens in the grammar, of at most 24 bytes
+    each, each line ending in a newline.  None if the text is not of that
+    form or a value is not finite.  The text passes through one zero-padded
+    window of _WINDOW bytes, or 25 per token of a line if that is more:
+    each read fills it, its whole lines are parsed, and the partial last
+    line moves to its front."""
+    if 2 * rows * per_line > os.fstat(f.fileno()).st_size - f.tell():
         return None
+    size = max(_WINDOW, 25 * per_line)
+    words = np.zeros((size + 2 * _PAD + 7) // 8, "<u8")
+    window = words.view(np.uint8)[_PAD : _PAD + size]
     out = np.empty(rows * per_line)
     step = max(1, _LANES // per_line)
-    for r in range(0, rows, step):
-        lo = lines[r - 1] + 1 if r else begin
-        piece = text[lo : lines[min(r + step, rows) - 1] + 1]
-        ends = np.flatnonzero((piece == ord(",")) | (piece == 10)) + lo
-        if ends.size != per_line * min(step, rows - r) or not np.array_equal(ends[per_line - 1 :: per_line], lines[r : r + step]):
+    done = kept = 0
+    while read := f.readinto(window[kept:]):
+        end = kept + read
+        lines = np.flatnonzero(window[:end] == 10)
+        if done + lines.size > rows:
             return None
-        starts = np.concatenate(([lo], ends[:-1] + 1))
-        bits, bad, slow = _parse(words, text, starts, ends)
-        if bad:
-            return None
-        values = out[r * per_line : r * per_line + ends.size]
-        values.view(np.uint64)[:] = bits
-        for i in np.flatnonzero(slow).tolist():
-            values[i] = float(text[starts[i] : ends[i]].tobytes())
-        if not np.isfinite(values).all():
-            return None
-    return out
+        for r in range(0, lines.size, step):
+            lo = lines[r - 1] + 1 if r else 0
+            piece = window[lo : lines[min(r + step, lines.size) - 1] + 1]
+            ends = np.flatnonzero((piece == ord(",")) | (piece == 10)) + lo
+            if ends.size != per_line * min(step, lines.size - r) or not np.array_equal(ends[per_line - 1 :: per_line], lines[r : r + step]):
+                return None
+            starts = np.concatenate(([lo], ends[:-1] + 1))
+            bits, bad, slow = _parse(words, window, starts, ends)
+            if bad:
+                return None
+            values = out[(done + r) * per_line : (done + r) * per_line + ends.size]
+            values.view(np.uint64)[:] = bits
+            for i in np.flatnonzero(slow).tolist():
+                values[i] = float(window[starts[i] : ends[i]].tobytes())
+            if not np.isfinite(values).all():
+                return None
+        done += lines.size
+        tail = lines[-1] + 1 if lines.size else 0
+        kept = end - tail
+        window[:kept] = window[tail:end]
+    return out if done == rows and not kept else None

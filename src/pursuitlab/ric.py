@@ -469,6 +469,10 @@ def sampled_ric_lower_bound(
     and solved in stacks as ``exact_ric`` solves them, so a support's value
     is bitwise its certified one; the maximum is updated on strict
     improvement only, so the witness is the first trial attaining the value.
+    That matrix holds 8 * N**2 bytes (33.5 MB at N = 2048), the ``ric``
+    command's memory peak, on purpose: a block formed per trial as
+    phi[:, S]^T phi[:, S] is not bitwise the same (none of 20 supports at
+    512 x 2048 was).
 
     Raises:
         ValueError: ``s``, ``trials`` or ``seed`` is not an integer (a

@@ -433,6 +433,9 @@ def reference_run(cfg):
             row = key | {"m": cell.m, "N": cell.n, "s": cell.s, "noise_sigma": float(cell.noise_sigma),
                          "kind": cfg.kind, "trials": cfg.trials_per_cell}
             order = certified_order(alg, cell.s)
+            if cfg.experiment == "audit" and order > cell.n:
+                cells.append(row | {"skipped": True, "skip_reason": f"certified order {order} exceeds N={cell.n}"})
+                continue
             if cfg.experiment == "audit" and math.comb(cell.n, order) > cfg.ric_budget:
                 cells.append(row | {"skipped": True, "skip_reason": "enumeration budget exceeded"})
                 continue
@@ -484,13 +487,15 @@ def reference_run(cfg):
 def test_rows_match_the_library_calls(experiment):
     # Pins the engine's cell, trial and iteration rows to the library calls
     # they come from, on this machine's BLAS.  Cell 1 is over the audit
-    # budget for CoSaMP (comb(16, 8) = 12870 > 10000) but not for SP, and
-    # cell 2's noise overflows.
+    # budget for CoSaMP (comb(16, 8) = 12870 > 10000) but not for SP,
+    # cell 2's noise overflows, and in cell 4 CoSaMP's order 16 exceeds N
+    # while SP's order 12 does not.
     grid = [
         {"m": 12, "N": 14, "s": 2, "noise_sigma": 1e-3},
         {"m": 16, "N": 16, "s": 2, "noise_sigma": 0.0},
         {"m": 12, "N": 14, "s": 2, "noise_sigma": 1e300},
         {"m": 14, "N": 14, "s": 3, "noise_sigma": 0.0},
+        {"m": 12, "N": 14, "s": 4},
     ]
     orders = (["SP", "CoSaMP"], ["CoSaMP", "SP"])
     for algorithms, kind in itertools.product(orders, ("exact-sparse", "almost-sparse")):
@@ -504,4 +509,7 @@ def test_rows_match_the_library_calls(experiment):
         if experiment == "audit":
             assert [r["skip_reason"] for r in cells if r["cell_index"] == 1] == [
                 "enumeration budget exceeded" if a == "CoSaMP" else "" for a in algorithms
+            ]
+            assert [r["skip_reason"] for r in cells if r["cell_index"] == 4] == [
+                "certified order 16 exceeds N=14" if a == "CoSaMP" else "" for a in algorithms
             ]

@@ -1,5 +1,8 @@
+import contextlib
 import io
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ from pursuitlab.fileio import (
     write_matrix,
     write_vector,
 )
-from pursuitlab import make_instance, subspace_pursuit
-from pursuitlab.floattext import read_floats, read_padded, write_floats
+from pursuitlab import floattext, make_instance, subspace_pursuit
+from pursuitlab.floattext import read_floats, write_floats
 
 
 def rng(seed=0):
@@ -273,12 +276,23 @@ HARD_CASES = [
 ]
 
 
+# The reader's own window, or one of a few dozen bytes (widened to 25 bytes
+# a token of a line), whose ends fall inside tokens, on commas and on newlines.
+windows = st.one_of(st.none(), st.integers(1, 60))
+
+
+@contextlib.contextmanager
+def _window(size):
+    """Read files through a window of ``size`` bytes, or the default for None."""
+    with mock.patch.object(floattext, "_WINDOW", size or floattext._WINDOW):
+        yield
+
+
 def _lanes(path, rows, per_line):
     """The lane reader's values for a file of ``rows`` lines, or None."""
     with open(path, "rb") as f:
-        words, text = read_padded(f)
-    begin = text.tobytes().index(b"\n") + 1
-    return read_floats(words, begin, text.size, rows, per_line)
+        f.readline()
+        return read_floats(f, rows, per_line)
 
 
 def _check_tokens(path, tokens, per_line):
@@ -298,18 +312,21 @@ def _check_tokens(path, tokens, per_line):
 
 
 @settings(max_examples=examples(200), deadline=None)
-@given(tokens=st.lists(decimal_tokens(), min_size=12, max_size=12), per_line=st.integers(1, 12))
-def test_decimal_text_matches_float(tmp_path_factory, tokens, per_line):
-    _check_tokens(tmp_path_factory.mktemp("dec") / "a.csv", tokens, per_line)
+@given(tokens=st.lists(decimal_tokens(), min_size=12, max_size=12), per_line=st.integers(1, 12), window=windows)
+def test_decimal_text_matches_float(tmp_path_factory, tokens, per_line, window):
+    with _window(window):
+        _check_tokens(tmp_path_factory.mktemp("dec") / "a.csv", tokens, per_line)
 
 
 @pytest.mark.parametrize("token", HARD_CASES)
 def test_hard_cases_match_float(tmp_path, token):
     # Ties, the subnormal and normal edges and the largest double, alone
-    # and between ordinary values.
-    _check_tokens(tmp_path / "a.csv", [token], 1)
-    _check_tokens(tmp_path / "b.csv", ["0.5", token, "-1e-3", token, "12.25", "7"], 3)
-    assert read_vector(tmp_path / "a.csv").tobytes() == np.float64(float(token)).tobytes()
+    # and between ordinary values, in the default window and in small ones.
+    for window in (None, 1, 26, 40):
+        with _window(window):
+            _check_tokens(tmp_path / "a.csv", [token], 1)
+            _check_tokens(tmp_path / "b.csv", ["0.5", token, "-1e-3", token, "12.25", "7"], 3)
+            assert read_vector(tmp_path / "a.csv").tobytes() == np.float64(float(token)).tobytes()
 
 
 @pytest.mark.parametrize("token", [
@@ -421,23 +438,55 @@ def _write_corrupted(path, header, data, corrupt):
 
 @settings(max_examples=300, deadline=None)
 @given(phi=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=finite),
-       corrupt=corruption)
-def test_matrix_errors_match_reference(tmp_path_factory, phi, corrupt):
+       corrupt=corruption, window=windows)
+def test_matrix_errors_match_reference(tmp_path_factory, phi, corrupt, window):
     path = tmp_path_factory.mktemp("bad") / "phi.csv"
     write_matrix(path, phi)
     header, *data = path.read_text().splitlines()
     _write_corrupted(path, header, data, corrupt)
-    assert _outcome(read_matrix, path) == _outcome(ref_read_matrix, path)
+    with _window(window):
+        assert _outcome(read_matrix, path) == _outcome(ref_read_matrix, path)
 
 
 @settings(max_examples=300, deadline=None)
-@given(v=arrays(np.float64, st.integers(1, 6), elements=finite), corrupt=corruption)
-def test_vector_errors_match_reference(tmp_path_factory, v, corrupt):
+@given(v=arrays(np.float64, st.integers(1, 6), elements=finite), corrupt=corruption, window=windows)
+def test_vector_errors_match_reference(tmp_path_factory, v, corrupt, window):
     path = tmp_path_factory.mktemp("bad") / "v.csv"
     write_vector(path, v)
     header, *data = path.read_text().splitlines()
     _write_corrupted(path, header, data, corrupt)
-    assert _outcome(read_vector, path) == _outcome(ref_read_vector, path)
+    with _window(window):
+        assert _outcome(read_vector, path) == _outcome(ref_read_vector, path)
+
+
+def test_line_longer_than_the_window(tmp_path):
+    # One line of 200,000 values is several MB, more than the default
+    # window; the window widens to hold it, and a cut line still falls back.
+    phi = rng(7).normal(size=(1, 200_000))
+    path = tmp_path / "wide.csv"
+    write_matrix(path, phi)
+    assert path.stat().st_size > floattext._WINDOW
+    assert _bitwise_equal(read_matrix(path), phi)
+    assert _bitwise_equal(_lanes(path, 1, 200_000), phi.ravel())
+    path.write_bytes(path.read_bytes()[:-1])
+    assert _outcome(read_matrix, path) == _outcome(ref_read_matrix, path)
+
+
+def test_reader_holds_the_result_and_one_window(tmp_path):
+    # Reading a 10 MB file takes its 4 MB result, one window and less than
+    # 3 MB of scratch, not a buffer of the whole file.
+    phi = rng(8).normal(size=(256, 2048))
+    path = tmp_path / "phi.csv"
+    write_matrix(path, phi)
+    read_matrix(path)  # builds the reader's tables
+    tracemalloc.start()
+    try:
+        again = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bitwise_equal(again, phi)
+    assert peak < phi.nbytes + floattext._WINDOW + 3 * 2**20 < path.stat().st_size
 
 
 # The float text writer against its oracle, repr, which the package itself
