@@ -13,6 +13,12 @@ the same gufuncs on the same arrays in the same order give the same bits
 ``qr_r_raw`` needs numpy >= 2.1, the floor ``pyproject.toml`` declares; the
 three gufuncs are bound at import, so an older numpy fails there.
 
+``as_matrix`` and ``as_vector`` check arrays: they convert to a C-ordered
+float64 array (a copy only when the input is not one already), check the
+shape, and reject any NaN or infinity by reducing ``np.isfinite`` with
+``np.logical_and``, the reduction ``ndarray.all`` makes.  No sum stands in
+for that test: a sum of large finite entries overflows and warns.
+
 Every number a public function takes is checked once, where it enters:
 counts, seeds and budgets by ``check_integer``, real parameters (noise
 levels, thresholds, isometry constants) by ``check_real``.  Neither accepts
@@ -37,6 +43,9 @@ RANK_TOLERANCE = 1e-12
 # Allowed relative asymmetry when a matrix is claimed symmetric.
 SYMMETRY_TOLERANCE = 1e-12
 
+# The reduction ``ndarray.all`` makes, without its Python wrapper.
+_all = np.logical_and.reduce
+
 
 class SingularSupportError(ValueError):
     """Least-squares column block is rank deficient on the given support."""
@@ -57,7 +66,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float, order="C")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not _all(np.isfinite(m), axis=None):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -67,7 +76,7 @@ def as_vector(a) -> np.ndarray:
     v = np.asarray(a, dtype=float, order="C")
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not _all(np.isfinite(v), axis=None):
         raise ValueError("vector entries must be finite")
     return v
 

@@ -58,6 +58,7 @@ the audit takes the signal from the instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 
@@ -241,7 +242,8 @@ def _run(
         else:
             estimate = restrict(intermediate, pruned)
         residual = y - phi @ estimate
-        residual_norm = float(np.linalg.norm(residual))
+        # np.linalg.norm's own computation for a 1-d float vector, same bits.
+        residual_norm = math.sqrt(residual.dot(residual))
 
         signal_error = tail_energy = None
         if x_s is not None:

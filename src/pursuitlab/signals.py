@@ -12,6 +12,7 @@ reproducible from (kind, m, N, s, noise_sigma, seed) on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ NONZERO_MIN = 0.1
 TAIL_MAX = 0.01
 
 KINDS = ("exact-sparse", "almost-sparse")
+
+# The values a sign is drawn from; read only.
+_SIGNS = np.array([-1.0, 1.0])
+_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,11 @@ def top_k_magnitude(x: np.ndarray, k: int) -> SupportSet:
     """
     x = as_vector(x)
     check_integer(k, "k", 0, x.shape[0])
-    # Stable sort on -|x| keeps ascending index order within tied magnitudes.
-    order = np.argsort(-np.abs(x), kind="stable")
-    return SupportSet.from_sorted(np.sort(order[:k]), x.shape[0])
+    # Stable sort on -|x| keeps ascending index order within tied magnitudes;
+    # the methods skip the np.argsort/np.sort wrappers and sort the prefix in place.
+    top = (-np.abs(x)).argsort(kind="stable")[:k]
+    top.sort()
+    return SupportSet.from_sorted(top, x.shape[0])
 
 
 def best_s_term(x: np.ndarray, s: int) -> tuple[SupportSet, np.ndarray]:
@@ -95,7 +102,20 @@ def make_instance(
     standard deviation ``noise_sigma``.
 
     Draw order (matrix, support, magnitudes, signs, tail, noise) is fixed;
-    the same seed always yields a bit-identical instance.
+    the same seed always yields a bit-identical instance.  The signs are
+    drawn as ``_SIGNS[rng.integers(0, 2, size=s)]``, which is the draw
+    ``rng.choice(_SIGNS, size=s)`` makes with replacement: the same values
+    and the same generator state afterwards, without ``choice``'s argument
+    handling (a test pins this).
+
+    An ``exact-sparse`` x has exactly s nonzeros, each of magnitude at least
+    ``NONZERO_MIN``, so its best s-term support is the planted one and
+    ``x - x_s`` is exactly zero.  Then ``phi @ (x - x_s) + e`` equals ``e``
+    up to the sign of zero entries, which a norm cannot see, so that kind
+    takes ``s_support`` from the planted indices and ``e_prime_norm`` from
+    ``e`` alone, with the bits of the full computation.  Norms are
+    ``sqrt(v.dot(v))``, the computation ``np.linalg.norm`` makes for a 1-d
+    float vector, overflow warning included.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -110,7 +130,7 @@ def make_instance(
     phi = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
     planted = np.sort(rng.choice(n, size=s, replace=False))
     magnitudes = rng.uniform(NONZERO_MIN, 1.0, size=s)
-    signs = rng.choice(np.array([-1.0, 1.0]), size=s)
+    signs = _SIGNS[rng.integers(0, 2, size=s)]
 
     x = np.zeros(n)
     x[planted] = signs * magnitudes
@@ -120,8 +140,11 @@ def make_instance(
     e = rng.normal(0.0, noise_sigma, size=m) if noise_sigma > 0 else np.zeros(m)
     y = phi @ x + e
 
-    s_support, x_s = best_s_term(x, s)
-    e_prime = phi @ (x - x_s) + e
+    if kind == "exact-sparse":
+        s_support, e_prime = SupportSet.from_sorted(planted, n), e
+    else:
+        s_support, x_s = best_s_term(x, s)
+        e_prime = phi @ (x - x_s) + e
     return SparseInstance(
         x=x,
         s=s,
@@ -129,5 +152,5 @@ def make_instance(
         e=e,
         y=y,
         s_support=s_support,
-        e_prime_norm=float(np.linalg.norm(e_prime)),
+        e_prime_norm=math.sqrt(e_prime.dot(e_prime)),
     )

@@ -1,10 +1,13 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from conftest import examples
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pursuitlab import (
     ExperimentConfig,
@@ -237,6 +240,45 @@ def layouts(a):
     wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
     wide[..., ::2] = a
     return [a, np.asfortranarray(a), wide[..., ::2]]
+
+
+def test_finite_check_takes_the_largest_floats_and_rejects_nonfinite():
+    # The check is a logical reduction of np.isfinite: entries near the top
+    # of the float range pass without an overflow warning (a sum of them
+    # would overflow), and NaN or an infinity anywhere is rejected.
+    for big in (1e308, -1e308, np.finfo(float).max):
+        a, v = np.full((3, 4), big), np.full(5, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.as_matrix(a) is a and linalg.as_vector(v) is v
+        for bad in (np.nan, np.inf, -np.inf):
+            a[1, 2], v[3] = bad, bad
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                linalg.as_matrix(a)
+            with pytest.raises(ValueError, match="^vector entries must be finite$"):
+                linalg.as_vector(v)
+            a[1, 2], v[3] = big, big
+
+
+magnitudes = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                       st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-160, 160))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 64), elements=magnitudes))
+@example(v=np.full(3, 1e160))
+@example(v=np.array([1e-160, -0.0, 1e154]))
+def test_dot_norm_is_linalg_norm_bit_for_bit(v):
+    # Residual, error and perturbation norms are math.sqrt(v.dot(v)), which is
+    # what np.linalg.norm computes for a 1-d float vector: same bits, and the
+    # same warning when the sum of squares overflows to inf.
+    def norm(f):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = f(v)
+        return np.float64(value).view(np.uint64), [str(w.message) for w in caught]
+
+    assert norm(lambda u: math.sqrt(u.dot(u))) == norm(lambda u: float(np.linalg.norm(u)))
 
 
 def test_as_matrix_and_as_vector_copy_only_other_layouts():

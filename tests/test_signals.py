@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from conftest import examples
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pursuitlab import SupportSet, best_s_term, make_instance, restrict, top_k_magnitude
+from pursuitlab import SparseInstance, SupportSet, best_s_term, make_instance, restrict, top_k_magnitude
+from pursuitlab.signals import KINDS, NONZERO_MIN, TAIL_MAX
 
 
 def rng(seed=0):
@@ -133,3 +139,76 @@ class TestMakeInstance:
         for name, args in (("m", (24.0, 24, 2)), ("N", (4, 8.0, 2)), ("s", (4, 8, True))):
             with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
                 make_instance("exact-sparse", *args, 0.0, 0)
+
+
+def reference_make_instance(kind, m, n, s, noise_sigma, seed):
+    """``make_instance`` as first written: every kind through ``best_s_term``,
+    the second ``phi @`` product and ``np.linalg.norm``, signs by ``choice``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    phi = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
+    planted = np.sort(rng.choice(n, size=s, replace=False))
+    magnitudes = rng.uniform(NONZERO_MIN, 1.0, size=s)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=s)
+
+    x = np.zeros(n)
+    x[planted] = signs * magnitudes
+    if kind == "almost-sparse":
+        x = x + rng.uniform(-TAIL_MAX, TAIL_MAX, size=n)
+
+    e = rng.normal(0.0, noise_sigma, size=m) if noise_sigma > 0 else np.zeros(m)
+    y = phi @ x + e
+
+    s_support, x_s = best_s_term(x, s)
+    e_prime = phi @ (x - x_s) + e
+    return SparseInstance(x, s, phi, e, y, s_support, float(np.linalg.norm(e_prime)))
+
+
+def drawn(make, *args):
+    """The instance ``make`` draws, as bits, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = make(*args)
+    fields = [np.asarray(getattr(inst, f), dtype=np.float64).view(np.uint64).tobytes()
+              for f in ("x", "phi", "e", "y", "e_prime_norm")]
+    return fields, inst.s_support, inst.s, [str(w.message) for w in caught]
+
+
+@st.composite
+def instance_args(draw):
+    n = draw(st.integers(1, 80))
+    m = draw(st.integers(1, n))
+    s = draw(st.integers(1, m))
+    sigma = draw(st.sampled_from([0.0, 1e-300, 1e-3, 0.5]) | st.floats(1e-8, 10.0))
+    return draw(st.sampled_from(KINDS)), m, n, s, sigma, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(args=instance_args())
+# Noise that overflows: e_prime_norm is inf, with the same "in dot" warning.
+@example(args=("exact-sparse", 48, 64, 4, 1e300, 2013))
+@example(args=("almost-sparse", 48, 64, 4, 1e300, 2013))
+@example(args=("exact-sparse", 1, 1, 1, 0.0, 0))
+def test_instances_match_the_reference_bit_for_bit(args):
+    # The exact-sparse shortcut (planted support, e' = e) and the sign draw
+    # through integers give every field the reference's bits, both kinds.
+    assert drawn(make_instance, *args) == drawn(reference_make_instance, *args)
+
+
+@pytest.mark.parametrize("values", [[-1.0, 1.0], [0.5, -2.0, 3.0, 7.0, -0.0]])
+def test_choice_with_replacement_is_integers_then_take(values):
+    # make_instance draws its signs as a[rng.integers(0, len(a), size)], on
+    # the claim that rng.choice(a, size) with replacement makes that draw:
+    # same values and same generator state after.  A numpy that draws
+    # differently fails here, not in an instance far downstream.
+    a = np.array(values)
+    for seed in range(400):
+        for prime in (0, 1, 3):
+            for size in (1, 2, 4, 7, 64, 257):
+                by_choice = np.random.Generator(np.random.PCG64(seed))
+                by_integers = np.random.Generator(np.random.PCG64(seed))
+                by_choice.random(prime)
+                by_integers.random(prime)
+                want = by_choice.choice(a, size=size)
+                got = a[by_integers.integers(0, len(a), size=size)]
+                assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+                assert by_integers.bit_generator.state == by_choice.bit_generator.state
