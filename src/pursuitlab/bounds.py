@@ -160,15 +160,13 @@ def delta_for_rho(family: str, target_rho: float) -> float:
     """Invert rho(delta) = target_rho by bisection on [0, 1).
 
     Absolute tolerance 1e-8 on delta; every family's rho is continuous,
-    zero at delta = 0 and unbounded toward delta = 1, so any target in
-    (0, 1] is reachable.
+    zero at delta = 0 and above 1 at the bracket's top, 1 - 1e-9 (a test
+    pins this), so any target in (0, 1] lies in the bracket.
     """
     family = canonical_family(family)
     check_real(target_rho, "target_rho", ulp(0.0), 1)  # 0 < target_rho <= 1
     rho = _RHO[family]
     lo, hi = 0.0, 1.0 - 1e-9
-    if rho(hi) < target_rho:
-        raise ValueError(f"rho = {target_rho} unreachable for family {family}")
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if rho(mid) < target_rho:

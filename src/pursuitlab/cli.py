@@ -47,9 +47,9 @@ from .signals import KINDS, make_instance
 _COMPARE_FAMILIES = (SP, SP_TAIL, SP_LBJ, SP_DM)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | Path | None) -> None:
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, newline="")
     else:
         sys.stdout.write(text)
 
@@ -58,12 +58,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     phi = read_matrix(args.matrix)
     y = read_vector(args.measurements)
     truth = read_vector(args.truth) if args.truth else None
-    stop = StoppingRule(
-        epsilon=args.epsilon,
-        n_max=args.n_max,
-        e_prime_norm_hint=args.e_prime_norm,
-        epsilon_abs=args.epsilon_abs,
-    )
+    stop = StoppingRule(**{f.name: getattr(args, f.name) for f in dataclasses.fields(StoppingRule)})
     run = subspace_pursuit if canonical_family(args.algorithm) == SP else cosamp
     result = run(phi, y, args.sparsity, stop=stop, truth=truth)
     _emit(dump_json(recovery_payload(result, trace=args.trace)), args.output)
@@ -122,8 +117,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    if args.per_trial:
-        config = dataclasses.replace(config, per_trial=True)
     cell_rows, detail_rows = run_experiment(config)
     written = write_results(config, cell_rows, detail_rows)
     # A cell is skipped for one algorithm or for all; count each cell once.
@@ -143,14 +136,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(f"perturbation norm overflows at --sigma {args.sigma!r}")
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    phi_path = prefix.with_name(prefix.name + "_phi.csv")
-    y_path = prefix.with_name(prefix.name + "_y.csv")
-    x_path = prefix.with_name(prefix.name + "_x.csv")
-    meta_path = prefix.with_name(prefix.name + "_meta.json")
+    paths = phi_path, y_path, x_path, meta_path = [
+        prefix.with_name(prefix.name + suffix) for suffix in ("_phi.csv", "_y.csv", "_x.csv", "_meta.json")
+    ]
     write_matrix(phi_path, instance.phi)
     write_vector(y_path, instance.y)
     write_vector(x_path, instance.x)
-    meta_path.write_text(
+    _emit(
         dump_json(
             {
                 "kind": args.kind,
@@ -162,9 +154,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 "s_support": list(instance.s_support.indices),
                 "e_prime_norm": instance.e_prime_norm,
             }
-        )
+        ),
+        meta_path,
     )
-    for p in (phi_path, y_path, x_path, meta_path):
+    for p in paths:
         print(f"wrote {p}")
     return 0
 
@@ -180,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("cosamp", "sp"), default="sp")
     p.add_argument("--truth", help="optional signal file enabling error traces")
     p.add_argument("--trace", choices=TRACE_LEVELS, default="norms")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--e-prime-norm", type=float, default=0.0)
-    p.add_argument("--epsilon-abs", type=float, default=1e-10)
-    p.add_argument("--n-max", type=int, default=100)
+    p.add_argument("--epsilon", type=float, default=StoppingRule.epsilon)
+    p.add_argument("--e-prime-norm", type=float, default=StoppingRule.e_prime_norm_hint,
+                   dest="e_prime_norm_hint", metavar="E_PRIME_NORM")
+    p.add_argument("--epsilon-abs", type=float, default=StoppingRule.epsilon_abs)
+    p.add_argument("--n-max", type=int, default=StoppingRule.n_max)
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(fn=_cmd_recover)
 
@@ -208,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a seeded batch experiment from JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--per-trial", action="store_true", help="also write per-trial rows")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("gen", help="generate a seeded instance as fixture files")
@@ -227,12 +220,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as err:
-        # Covers malformed files (FileFormatError), budget and singularity
-        # errors, bad config values, and I/O failures.
+    except (ValueError, OSError) as err:
+        # Covers malformed files (FileFormatError; bad JSON and text that is
+        # not UTF-8 are ValueErrors too), budget and singularity errors, bad
+        # config values, and I/O failures. Anything else is a bug, and its
+        # traceback is shown.
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

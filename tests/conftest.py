@@ -12,13 +12,16 @@ matrices.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import subprocess
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from pursuitlab import SparseInstance, best_s_term, derive_seed
+from pursuitlab import SparseInstance, best_s_term, cli, derive_seed
 
 FRAME_COLS = 16
 FRAME_ROWS = 15
@@ -38,6 +41,19 @@ settings.load_profile(HYPOTHESIS_PROFILE)
 def examples(local: int) -> int:
     """A property's max_examples: ``local``, or CI_EXAMPLES times it under ci."""
     return local * CI_EXAMPLES if HYPOTHESIS_PROFILE == "ci" else local
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``pursuitlab *args`` run in process through ``cli.main``: its exit
+    code, with argparse's SystemExit turned into its code, and its captured
+    stdout and stderr, in the fields a subprocess run returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exit:
+            code = exit.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 def hadamard(n: int) -> np.ndarray:

@@ -11,8 +11,6 @@ failed.
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -39,6 +37,7 @@ from conftest import (
     FRAME_COUNT,
     instance_for,
     perturbed_frame,
+    run_cli,
     signal_seed,
     sparse_signal,
 )
@@ -326,12 +325,6 @@ def test_criterion_8_property_suites():
 # ----------------------------------------------------------------- criterion 9
 
 
-def _cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "pursuitlab", *args], capture_output=True, text=True
-    )
-
-
 def test_criterion_9_determinism_and_cross_interface(tmp_path):
     cfg = {
         "experiment": "phase-transition",
@@ -349,7 +342,7 @@ def test_criterion_9_determinism_and_cross_interface(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     runs = []
     for _ in range(2):
-        out = _cli("experiment", "--config", str(cfg_path))
+        out = run_cli("experiment", "--config", str(cfg_path))
         assert out.returncode == 0, out.stderr
         runs.append(
             (
@@ -359,12 +352,12 @@ def test_criterion_9_determinism_and_cross_interface(tmp_path):
         )
     deterministic = runs[0] == runs[1]
 
-    out = _cli(
+    out = run_cli(
         "gen", "--m", "16", "--N", "32", "-s", "3", "--seed", "17",
         "--out", str(tmp_path / "fix"),
     )
     assert out.returncode == 0, out.stderr
-    out = _cli(
+    out = run_cli(
         "recover", "--matrix", str(tmp_path / "fix_phi.csv"),
         "--measurements", str(tmp_path / "fix_y.csv"), "-s", "3",
         "--output", str(tmp_path / "cli.json"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pursuitlab import bounds_for, delta_for_rho, error_envelope
-from pursuitlab.bounds import COSAMP, FAMILIES, SP, SP_DM, SP_LBJ, SP_TAIL, canonical_family
+from pursuitlab.bounds import _RHO, COSAMP, FAMILIES, SP, SP_DM, SP_LBJ, SP_TAIL, canonical_family
 
 ROOT2 = np.sqrt(2.0)
 
@@ -98,6 +98,13 @@ class TestDeltaForRho:
 
     def test_lbj_unit_rate(self):
         assert delta_for_rho(SP_LBJ, 1.0) == pytest.approx(0.325086, abs=1e-4)
+
+    def test_bracket_holds_every_target(self):
+        # Bisection starts at [0, 1 - 1e-9]; rho is zero at 0 (TestZeroDelta)
+        # and above 1 at the top for every family, so every target in (0, 1]
+        # is inside.
+        for family in FAMILIES:
+            assert _RHO[family](1 - 1e-9) > 1
 
     def test_half_rate_constants(self):
         assert delta_for_rho(SP, 0.5) == pytest.approx(0.3063, abs=1e-4)

@@ -1,23 +1,31 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
-from pursuitlab import StoppingRule, exact_ric, experiments, make_instance, subspace_pursuit
+from pursuitlab import StoppingRule, cli, exact_ric, experiments, make_instance, subspace_pursuit
 from pursuitlab.cli import main
 from pursuitlab.fileio import dump_json, read_matrix, read_vector, recovery_payload, ric_payload
 
 DATA = Path(__file__).parent / "data"
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "pursuitlab", *args],
-        capture_output=True, text=True, cwd=cwd,
+def test_module_entry_point():
+    # The one test that starts a process: ``python -m pursuitlab`` runs
+    # __main__.py, which exits with main's return code. Every other test
+    # runs the command in process through run_cli.
+    out = subprocess.run(
+        [sys.executable, "-m", "pursuitlab", "bounds", "--solve", "rho=abc"],
+        capture_output=True, text=True,
     )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: --solve expects rho=<r>, got 'rho=abc'\n"
 
 
 @pytest.fixture()
@@ -291,14 +299,15 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         "trials_per_cell": 3,
         "master_seed": 21,
         "output_path": str(tmp_path / "res.csv"),
+        "per_trial": True,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    out = run_cli("experiment", "--config", str(cfg_path), "--per-trial")
+    out = run_cli("experiment", "--config", str(cfg_path))
     assert out.returncode == 0, out.stderr
     first = (tmp_path / "res.csv").read_bytes()
     trials_first = (tmp_path / "res.trials.csv").read_bytes()
-    out = run_cli("experiment", "--config", str(cfg_path), "--per-trial")
+    out = run_cli("experiment", "--config", str(cfg_path))
     assert out.returncode == 0
     assert (tmp_path / "res.csv").read_bytes() == first
     assert (tmp_path / "res.trials.csv").read_bytes() == trials_first
@@ -307,7 +316,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
     assert out.returncode == 1
 
     # Configs of the wrong JSON shape exit 1 with one error line naming the
-    # mistake, not with a traceback; all but the last run in process.
+    # mistake, not with a traceback.
     bad_shapes = {
         "config must be a JSON object": [cfg],
         "'algorithms' must be a list": {**cfg, "algorithms": "SP"},
@@ -337,7 +346,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
     # A cell whose perturbation norm overflows is skipped, without a warning.
     cfg["grid"].append({"m": 12, "N": 24, "s": 2, "noise_sigma": 1e300})
     cfg_path.write_text(json.dumps(cfg))
-    out = run_cli("experiment", "--config", str(cfg_path), "--per-trial")
+    out = run_cli("experiment", "--config", str(cfg_path))
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     assert "skipped 1 cell(s)" in out.stdout
@@ -366,9 +375,10 @@ def test_experiment_checks_output_directory_before_any_cell(tmp_path, capsys, mo
         "experiment": "phase-transition",
         "algorithms": ["SP"],
         "grid": [{"m": 12, "N": 24, "s": 2}] * 4,
+        "per_trial": per_trial,
     }
     cfg_path = tmp_path / "cfg.json"
-    args = ["experiment", "--config", str(cfg_path)] + ["--per-trial"] * per_trial
+    args = ["experiment", "--config", str(cfg_path)]
     res = tmp_path / "missing" / "res.csv"
     blocked = [
         (res, f"no directory {tmp_path / 'missing'}"),
@@ -399,7 +409,7 @@ def test_experiment_checks_output_directory_before_any_cell(tmp_path, capsys, mo
     # does not stop it, per-trial or not.
     (tmp_path / "b.trials.csv").mkdir()
     cfg_path.write_text(json.dumps({"experiment": "bounds-table", "deltas": [0.2], "families": ["sp"],
-                                    "output_path": "b.csv"}))
+                                    "per_trial": per_trial, "output_path": "b.csv"}))
     capsys.readouterr()
     assert main(args) == 0
     assert capsys.readouterr().out == "wrote b.csv\n"
@@ -421,3 +431,40 @@ def test_stopping_flags_reach_library(fixture_files):
     stop = StoppingRule(epsilon=0.5, e_prime_norm_hint=2.0, n_max=7)
     result = subspace_pursuit(phi, y, 3, stop=stop)
     assert payload["residual_history"] == result.residual_history
+
+
+def test_traced_names_are_called_through_cli(tmp_path, monkeypatch):
+    # The benchmark's tracer times file I/O, instance generation, recovery
+    # and RIC certification by wrapping these names in pursuitlab.cli, so the
+    # commands must call them through cli's globals: a copy bound elsewhere
+    # would leave the traced metrics empty.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("read_matrix", "read_vector", "write_matrix", "write_vector", "dump_json", "make_instance",
+             "subspace_pursuit", "cosamp", "exact_ric", "sampled_ric_lower_bound")
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    prefix = str(tmp_path / "fix")
+    files = ["--matrix", prefix + "_phi.csv", "--measurements", prefix + "_y.csv", "-s", "2"]
+    commands = [
+        (["gen", "--m", "12", "--N", "16", "-s", "2", "--out", prefix],
+         {"make_instance": 1, "write_matrix": 1, "write_vector": 2, "dump_json": 1}),
+        (["recover", *files, "--truth", prefix + "_x.csv"],
+         {"read_matrix": 1, "read_vector": 2, "subspace_pursuit": 1, "dump_json": 1}),
+        (["recover", *files, "--algorithm", "cosamp"],
+         {"read_matrix": 1, "read_vector": 1, "cosamp": 1, "dump_json": 1}),
+        (["ric", "--matrix", prefix + "_phi.csv", "-s", "2"], {"read_matrix": 1, "exact_ric": 1, "dump_json": 1}),
+        (["ric", "--matrix", prefix + "_phi.csv", "-s", "2", "--mode", "sampled", "--trials", "5"],
+         {"read_matrix": 1, "sampled_ric_lower_bound": 1, "dump_json": 1}),
+    ]
+    for argv, want in commands:
+        calls.clear()
+        out = run_cli(*argv)
+        assert out.returncode in (0, 2), out.stderr
+        assert calls == Counter(want), argv

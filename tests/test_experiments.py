@@ -164,6 +164,8 @@ def test_config_validation():
         ("experiment", 3, "'experiment' must be a string, got 3"),
         ("kind", None, "'kind' must be a string, got None"),
         ("algorithms", ("SP", 1), "'algorithms' must be a string, got 1"),
+        ("algorithms", (), "algorithms must be non-empty"),
+        ("kind", "gaussian", "kind must be one of"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**good | {field: value})

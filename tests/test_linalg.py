@@ -289,6 +289,9 @@ def test_as_matrix_and_as_vector_copy_only_other_layouts():
     assert np.array_equal(linalg.as_matrix(layouts(a)[2]), a)
     with pytest.raises(ValueError, match=r"got shape \(\)"):
         linalg.as_vector(1.0)
+    for bad in (np.ones(3), np.zeros((0, 3)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"expected a 2-d matrix, got shape {bad.shape}")):
+            linalg.as_matrix(bad)
 
 
 @settings(max_examples=examples(60), deadline=None)

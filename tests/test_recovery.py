@@ -346,6 +346,8 @@ def test_preconditions():
         cosamp(phi, y, 3)  # 3s > m
     with pytest.raises(ValueError):
         subspace_pursuit(phi, np.zeros(5), 2)
+    with pytest.raises(ValueError, match="truth dim 11 != matrix columns 12"):
+        subspace_pursuit(phi, y, 2, truth=np.zeros(11))
     with pytest.raises(ValueError):
         StoppingRule(n_max=0)
     # NaN once ran every iteration and inf "converged" after one.

@@ -564,6 +564,10 @@ class TestSandwich:
     def test_zero_vector(self):
         assert rip_sandwich_check(gaussian(1, 5, 8), np.zeros(8), 0.0)
 
+    def test_vector_of_wrong_length(self):
+        with pytest.raises(ValueError, match="vector dim 7 != matrix columns 8"):
+            rip_sandwich_check(gaussian(1, 5, 8), np.zeros(7), 0.0)
+
     def test_orthonormal_isometry(self):
         q, _ = np.linalg.qr(rng(2).normal(size=(6, 6)))
         phi = q[:, :4]
