@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import SP, SP_DM, SP_LBJ, SP_TAIL, bounds_for, canonical_family, delta_for_rho
+from .bounds import SP, bounds_for, canonical_family, delta_for_rho
 from .experiments import ExperimentConfig, run_experiment, write_results
 from .fileio import (
     BOUND_FIELDS,
@@ -43,8 +44,6 @@ from .fileio import (
 from .recovery import StoppingRule, cosamp, subspace_pursuit
 from .ric import DEFAULT_ENUMERATION_BUDGET, exact_ric, sampled_ric_lower_bound
 from .signals import KINDS, make_instance
-
-_COMPARE_FAMILIES = (SP, SP_TAIL, SP_LBJ, SP_DM)
 
 
 def _emit(text: str, output: str | Path | None) -> None:
@@ -96,14 +95,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             rho = None
         if key.strip() != "rho" or rho is None:
             raise ValueError(f"--solve expects rho=<r>, got {args.solve!r}")
-        family = canonical_family(args.family)
+        if len(args.family) != 1:
+            raise ValueError("--solve takes one --family")
+        family = canonical_family(args.family[0])
         delta = delta_for_rho(family, rho)
         _emit(dump_json({"family": family, "target_rho": rho, "delta": delta}), args.output)
         return 0
     if args.delta is None:
         raise ValueError("bounds needs --delta (or --solve rho=<r>)")
-    families = _COMPARE_FAMILIES if args.compare else (canonical_family(args.family),)
-    rows = [bound_row(bounds_for(f, args.delta)) for f in families]
+    rows = [bound_row(bounds_for(f, d)) for f in args.family for d in args.delta]
     if args.format == "csv":
         text = io.StringIO()
         write_rows(text, rows, BOUND_FIELDS)
@@ -162,6 +162,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: parse_args leaves the parser as it was, and one
+# parser per call left its reference cycles for the garbage collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pursuitlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -192,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ric)
 
     p = sub.add_parser("bounds", help="rate/error-coefficient formulas and thresholds")
-    p.add_argument("--family", default="sp")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--compare", action="store_true", help="all SP-style families side by side")
+    p.add_argument("--family", nargs="+", default=["sp"])
+    p.add_argument("--delta", nargs="+", type=float)
     p.add_argument("--solve", metavar="rho=<r>", help="invert the rate formula")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output")
@@ -217,7 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit:
+        # A usage error returns 1: argparse's 2 is a capped recover run's code.
+        return 1 if exit.code == 2 else exit.code
     try:
         return args.fn(args)
     except (ValueError, OSError) as err:

@@ -15,8 +15,6 @@ Kinds:
   trial matrix (skipping cells whose enumeration exceeds the budget or
   whose certified order exceeds N) and count inequality violations over
   instrumented runs.
-* ``bounds-table``     - tabulate rho/tau over a delta grid per family
-  (no randomness; uses ``deltas`` and ``families`` instead of the grid).
 
 ``run_experiment`` takes the grid one cell at a time, in one loop over the
 cell's trials: each trial derives its seed, draws one instance, runs every
@@ -27,14 +25,12 @@ the cell is marked skipped, with its reason, for every algorithm and keeps
 no per-trial rows.  Aggregated rows go to ``output_path``; per-trial (or
 per-iteration) rows go alongside it when ``per_trial`` is set;
 ``run_experiment`` checks that both can be written before the first cell.
-Both files stream through ``fileio.write_rows``, and ``bounds-table`` rows are
-``fileio.bound_row``, as the CLI prints them.  A config built in Python
+Both files stream through ``fileio.write_rows``.  A config built in Python
 gets the defaults and the type checks of one read from JSON.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -42,15 +38,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import COSAMP, DELTA_MAX, SP, bounds_for, canonical_family
-from .fileio import BOUND_FIELDS, SCHEMA_VERSION, bound_row, write_rows
+from .bounds import COSAMP, SP, bounds_for
+from .fileio import SCHEMA_VERSION, write_rows
 from .linalg import check_integer, check_real
 from .recovery import StoppingRule, audit_run, certified_order, cosamp, merged_size, subspace_pursuit
 from .ric import DEFAULT_ENUMERATION_BUDGET, exact_ric
 from .seeding import derive_seed
 from .signals import KINDS, make_instance
 
-EXPERIMENT_KINDS = ("phase-transition", "convergence", "audit", "bounds-table")
+EXPERIMENT_KINDS = ("phase-transition", "convergence", "audit")
 
 CELL_COLUMNS = [
     "schema_version", "experiment", "cell_index", "algorithm",
@@ -70,9 +66,6 @@ ITERATION_COLUMNS = [
     "schema_version", "experiment", "cell_index", "algorithm", "trial_index",
     "iteration", "residual_norm", "signal_error", "tail_energy",
 ]
-
-BOUNDS_COLUMNS = ["schema_version", "experiment", "row_index", *BOUND_FIELDS]
-
 
 # The fields that JSON gives as numbers but the config takes as integers.
 _INTEGER_FIELDS = {"trials_per_cell", "master_seed", "ric_budget", "m", "N", "s"}
@@ -98,13 +91,11 @@ class ExperimentConfig:
     kind: str = "exact-sparse"
     per_trial: bool = False
     ric_budget: int = DEFAULT_ENUMERATION_BUDGET
-    deltas: tuple[float, ...] = ()
-    families: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # A config built in Python gets the checks of one read from JSON.
         strings = [("experiment", self.experiment), ("output_path", self.output_path), ("kind", self.kind)]
-        for name, value in strings + [(f, v) for f in ("algorithms", "families") for v in getattr(self, f)]:
+        for name, value in strings + [("algorithms", v) for v in self.algorithms]:
             if not isinstance(value, str):
                 raise ValueError(f"'{name}' must be a string, got {value!r}")
         if not isinstance(self.per_trial, bool):
@@ -113,8 +104,6 @@ class ExperimentConfig:
         check_integer(self.master_seed, "'master_seed'")
         check_integer(self.ric_budget, "'ric_budget'", 1)
         check_real(self.success_threshold, "'success_threshold'", math.ulp(0.0))  # > 0
-        for delta in self.deltas:
-            check_real(delta, "'deltas'", 0, DELTA_MAX)
         for cell in self.grid:
             for name, value in zip(("m", "N", "s"), (cell.m, cell.n, cell.s)):
                 check_integer(value, f"'{name}'")
@@ -123,12 +112,6 @@ class ExperimentConfig:
                 raise ValueError(f"bad grid cell {cell}: need 1 <= s <= m <= N")
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(f"experiment must be one of {EXPERIMENT_KINDS}")
-        if self.experiment == "bounds-table":
-            if not self.deltas or not self.families:
-                raise ValueError("bounds-table needs non-empty 'deltas' and 'families'")
-            for fam in self.families:
-                canonical_family(fam)
-            return
         if not self.grid:
             raise ValueError("grid must be non-empty")
         if not self.algorithms:
@@ -176,7 +159,7 @@ class ExperimentConfig:
             return GridCell(c["m"], c["N"], c["s"], c.get("noise_sigma", 0.0))
 
         values = read(raw, {f.name for f in fields(cls)}, ("experiment",))
-        for name in ("algorithms", "grid", "deltas", "families"):
+        for name in ("algorithms", "grid"):
             if name in values:
                 if not isinstance(values[name], list):
                     raise ValueError(f"'{name}' must be a list, got {values[name]!r}")
@@ -204,8 +187,6 @@ def _output_files(config: ExperimentConfig) -> list[tuple[Path, list[str]]]:
         raise ValueError(f"cannot write {out}: no directory {out.parent}")
     if out.is_dir():  # before trials_path, which rejects a path with no name
         raise ValueError(f"cannot write {out}: it is a directory")
-    if config.experiment == "bounds-table":
-        return [(out, BOUNDS_COLUMNS)]
     files = [(out, CELL_COLUMNS)]
     if config.per_trial:
         trials = trials_path(out)
@@ -256,7 +237,7 @@ def _run_cell(config: ExperimentConfig, cell_index: int) -> tuple[list[dict], li
             result = run(instance.phi, instance.y, instance.s, stop=stop, truth=truth)
             miss = result.estimate - instance.x
             error = math.sqrt(miss.dot(miss))
-            rel_error = error / x_norm if x_norm > 0 else error
+            rel_error = error / x_norm
             row = head[alg] | {
                 "trial_index": ti, "seed": seed, "converged": result.converged,
                 "iterations": len(result.iterations), "final_error": rel_error,
@@ -318,13 +299,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     Raises ``ValueError`` before the first cell if ``write_results`` could
     not write the config's files."""
     _output_files(config)
-    if config.experiment == "bounds-table":
-        pairs = itertools.product(config.families, config.deltas)
-        head = {"schema_version": SCHEMA_VERSION, "experiment": config.experiment}
-        return [
-            head | {"row_index": i} | bound_row(bounds_for(family, delta))
-            for i, (family, delta) in enumerate(pairs)
-        ], []
     cell_rows: list[dict] = []
     detail_rows: list[dict] = []
     for ci in range(len(config.grid)):

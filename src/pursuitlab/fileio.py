@@ -37,8 +37,7 @@ the same values.
 Result rows (the ``bounds`` command and every experiment file) go through
 one CSV writer, ``write_rows``: floats in shortest round-trip form,
 booleans as ``true``/``false`` and a missing value as an empty field.
-``bound_row`` is the one row of a formula family at one delta that both
-``bounds`` and the ``bounds-table`` experiment print.
+``bound_row`` is the row ``bounds`` prints for one formula family at one delta.
 """
 
 from __future__ import annotations

@@ -45,14 +45,11 @@ def examples(local: int) -> int:
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``pursuitlab *args`` run in process through ``cli.main``: its exit
-    code, with argparse's SystemExit turned into its code, and its captured
-    stdout and stderr, in the fields a subprocess run returns."""
+    code and its captured stdout and stderr, in the fields a subprocess run
+    returns."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exit:
-            code = exit.code
+        code = cli.main(list(args))
     return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,11 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import examples, run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pursuitlab import StoppingRule, cli, exact_ric, experiments, make_instance, subspace_pursuit
+from pursuitlab import StoppingRule, bounds_for, cli, exact_ric, experiments, make_instance, subspace_pursuit
+from pursuitlab.bounds import _ALIASES, DELTA_MAX, FAMILIES
 from pursuitlab.cli import main
-from pursuitlab.fileio import dump_json, read_matrix, read_vector, recovery_payload, ric_payload
+from pursuitlab.fileio import (
+    BOUND_FIELDS,
+    bound_row,
+    dump_json,
+    read_matrix,
+    read_vector,
+    recovery_payload,
+    ric_payload,
+    write_rows,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,6 +170,15 @@ def test_recover_exit_codes(fixture_files, tmp_path):
         "--epsilon-abs", "0", "--n-max", "1",
     )
     assert out.returncode == 2
+    # A usage error exits 1, with argparse's usage message, so a script can
+    # tell it from a capped run.
+    out = run_cli("bounds", "--format", "xml")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: pursuitlab bounds ")
+    assert out.stderr.endswith("error: argument --format: invalid choice: 'xml' (choose from 'text', 'csv', 'json')\n")
+    out = run_cli("bounds", "--help")
+    assert out.returncode == 0 and out.stdout.startswith("usage: pursuitlab bounds ")
     # Malformed input names the offending line.
     bad = tmp_path / "bad.csv"
     bad.write_text("# dense 2 2\n1,2\n3,oops\n")
@@ -237,7 +259,7 @@ def test_bounds_outputs():
     assert out.returncode == 0
     assert "SP" in out.stdout and "13.130" in out.stdout
 
-    out = run_cli("bounds", "--compare", "--delta", "0.3063", "--format", "csv")
+    out = run_cli("bounds", "--family", "sp", "sp-tail", "sp-lbj", "sp-dm", "--delta", "0.3063", "--format", "csv")
     lines = out.stdout.strip().splitlines()
     assert lines[0].startswith("family,delta,rho,tau")
     assert len(lines) == 5  # header + four SP-style families
@@ -249,6 +271,9 @@ def test_bounds_outputs():
     out = run_cli("bounds", "--solve", "rho=0.5", "--family", "sp-dm")
     payload = json.loads(out.stdout)
     assert payload["delta"] == pytest.approx(0.1397, abs=1e-4)
+    out = run_cli("bounds", "--solve", "rho=0.5", "--family", "sp", "sp-dm")
+    assert out.returncode == 1
+    assert out.stdout == "" and out.stderr == "error: --solve takes one --family\n"
 
     out = run_cli("bounds", "--family", "sp", "--delta", "2.0")
     assert out.returncode == 1
@@ -263,32 +288,40 @@ def test_bounds_outputs():
 
 
 def test_bound_outputs_match_golden_bytes(tmp_path):
-    # Recorded before `bounds` and `bounds-table` shared one row builder and
-    # one CSV writer; both are plain float arithmetic, so the bytes do not
-    # depend on the platform.
-    compare = ("bounds", "--compare", "--delta", "0.3063")
+    # Recorded before the bound rows had one row builder and one CSV writer;
+    # both are plain float arithmetic, so the bytes do not depend on the
+    # platform.
+    compare = ("bounds", "--family", "sp", "sp-tail", "sp-lbj", "sp-dm", "--delta", "0.3063")
+    table = ("bounds", "--family", "SP", "SP-tail-metric", "CoSaMP", "SP-LBJ-prior", "SP-DM-prior",
+             "--delta", "0", "0.2", "0.3063", "0.45", "0.9", "--format", "csv")
     cases = {
         "bounds_compare_0.3063.txt": compare,
         "bounds_compare_0.3063.csv": (*compare, "--format", "csv"),
         "bounds_compare_0.3063.json": (*compare, "--format", "json"),
         # An invalid row: rho > 1, so tau is an empty field.
         "bounds_cosamp_0.55.csv": ("bounds", "--family", "cosamp", "--delta", "0.55", "--format", "csv"),
+        # Five families by five deltas, families in the outer loop.
+        "bounds_table.csv": table,
     }
     for name, argv in cases.items():
         out = run_cli(*argv, "--output", str(tmp_path / name))
         assert out.returncode == 0, out.stderr
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
-    cfg = {
-        "experiment": "bounds-table",
-        "families": ["SP", "SP-tail-metric", "CoSaMP", "SP-LBJ-prior", "SP-DM-prior"],
-        "deltas": [0, 0.2, 0.3063, 0.45, 0.9],
-        "output_path": str(tmp_path / "bounds_table.csv"),
-    }
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    out = run_cli("experiment", "--config", str(tmp_path / "cfg.json"))
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    families=st.lists(st.sampled_from((*FAMILIES, *_ALIASES)), min_size=1, max_size=6),
+    deltas=st.lists(st.floats(0.0, DELTA_MAX), min_size=1, max_size=6),
+)
+def test_bounds_rows_are_every_family_at_every_delta(families, deltas):
+    # One row per (family, delta) pair, families in the outer loop, each the
+    # row of bounds_for at that pair.
+    out = run_cli("bounds", "--family", *families, "--delta", *map(repr, deltas), "--format", "csv")
     assert out.returncode == 0, out.stderr
-    assert (tmp_path / "bounds_table.csv").read_bytes() == (DATA / "bounds_table.csv").read_bytes()
+    want = io.StringIO()
+    write_rows(want, [bound_row(bounds_for(f, d)) for f in families for d in deltas], BOUND_FIELDS)
+    assert out.stdout == want.getvalue()
 
 
 def test_experiment_cli_round_trip(tmp_path, capsys):
@@ -322,7 +355,6 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         "'algorithms' must be a list": {**cfg, "algorithms": "SP"},
         "'grid' must be a list": {**cfg, "grid": cfg["grid"][0]},
         "each 'grid' entry must be an object": {**cfg, "grid": [1]},
-        "'deltas' must be a list": {"experiment": "bounds-table", "deltas": 0.2, "families": ["sp"]},
         "'trials_per_cell' must be an integer >= 1, got [1]": {**cfg, "trials_per_cell": [1]},
         "'m' must be an integer, got None": {**cfg, "grid": [{**cfg["grid"][0], "m": None}]},
         "'per_trial' must be a boolean, got 'false'": {**cfg, "per_trial": "false"},
@@ -330,8 +362,6 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         "missing required field 'm' in a 'grid' entry": {**cfg, "grid": [{"N": 24, "s": 2}]},
         "unknown field 'trials_per_cel'": {**cfg, "trials_per_cel": 5},
         "unknown field 'sigma' in a 'grid' entry": {**cfg, "grid": [{**cfg["grid"][0], "sigma": 1e-3}]},
-        "'families' must be a string, got 1":
-            {"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
     }
     bad_path = tmp_path / "bad.json"
     for message, bad in bad_shapes.items():
@@ -341,7 +371,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
     out = run_cli("experiment", "--config", str(bad_path))
     assert out.returncode == 1
-    assert out.stderr == "error: 'families' must be a string, got 1\n"
+    assert out.stderr == "error: unknown field 'sigma' in a 'grid' entry\n"
 
     # A cell whose perturbation norm overflows is skipped, without a warning.
     cfg["grid"].append({"m": 12, "N": 24, "s": 2, "noise_sigma": 1e300})
@@ -405,16 +435,19 @@ def test_experiment_checks_output_directory_before_any_cell(tmp_path, capsys, mo
         trials.rmdir()
     assert main(args) == 0
     assert cells == [0, 1, 2, 3]
-    # A bounds-table config writes no .trials file, so a directory there
-    # does not stop it, per-trial or not.
-    (tmp_path / "b.trials.csv").mkdir()
-    cfg_path.write_text(json.dumps({"experiment": "bounds-table", "deltas": [0.2], "families": ["sp"],
-                                    "per_trial": per_trial, "output_path": "b.csv"}))
+    # Bound tables are the bounds command's: a bounds-table config, or one
+    # with a 'deltas' key, is refused before any cell runs.
+    refused = [
+        ({"experiment": "bounds-table", "output_path": "b.csv"},
+         "experiment must be one of ('phase-transition', 'convergence', 'audit')"),
+        (cfg | {"deltas": [0.2], "output_path": "b.csv"}, "unknown field 'deltas'"),
+    ]
     capsys.readouterr()
-    assert main(args) == 0
-    assert capsys.readouterr().out == "wrote b.csv\n"
-    assert (tmp_path / "b.csv").stat().st_size > 0
-    assert list((tmp_path / "b.trials.csv").iterdir()) == []
+    for raw, message in refused:
+        cfg_path.write_text(json.dumps(raw | {"per_trial": per_trial}))
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert cells == [0, 1, 2, 3] and not (tmp_path / "b.csv").exists()
 
 
 def test_stopping_flags_reach_library(fixture_files):

@@ -21,7 +21,7 @@ from pursuitlab import (
     write_results,
 )
 from pursuitlab.experiments import trials_path
-from pursuitlab.fileio import SCHEMA_VERSION, bound_row
+from pursuitlab.fileio import SCHEMA_VERSION
 from pursuitlab.recovery import certified_order
 from pursuitlab.seeding import derive_seed
 
@@ -65,10 +65,6 @@ def test_config_validation():
         )
     with pytest.raises(ValueError, match="m=7.*SP needs m >= 8"):
         ExperimentConfig.from_dict(config_dict(grid=[{"m": 7, "N": 32, "s": 4}]))
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict(
-            config_dict(experiment="bounds-table", deltas=[], families=[])
-        )
     # A bad noise level fails when the config is built, naming its cell,
     # not in the middle of a sweep (or, for NaN, silently as a noiseless run).
     for sigma in (-1e-3, float("inf"), float("nan")):
@@ -78,12 +74,6 @@ def test_config_validation():
         ]
         with pytest.raises(ValueError, match="m=16.*'noise_sigma' must be finite and >= 0"):
             ExperimentConfig.from_dict(config_dict(grid=grid))
-    # A bounds-table delta outside [0, 1) fails when the config is built.
-    for delta in (-0.1, 1.0, 1.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=rf"'deltas' must be finite and in \[0, 0.9999999999999999\], got {delta}"):
-            ExperimentConfig.from_dict(
-                {"experiment": "bounds-table", "deltas": [0.2, delta], "families": ["sp"]}
-            )
     for threshold in (0.0, -1e-4, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="'success_threshold' must be finite and >= 5e-324"):
             ExperimentConfig.from_dict(config_dict(success_threshold=threshold))
@@ -92,15 +82,12 @@ def test_config_validation():
     # a list of its characters.
     with pytest.raises(ValueError, match="config must be a JSON object"):
         ExperimentConfig.from_dict([config_dict()])
-    for field, value in (("algorithms", "SP"), ("grid", {"m": 12, "N": 24, "s": 2}),
-                         ("families", "sp"), ("deltas", 0.2)):
+    for field, value in (("algorithms", "SP"), ("grid", {"m": 12, "N": 24, "s": 2})):
         with pytest.raises(ValueError, match=f"'{field}' must be a list"):
             ExperimentConfig.from_dict(config_dict(**{field: value}))
     for raw, message in (
         (config_dict(grid=[1]), "each 'grid' entry must be an object"),
         (config_dict(algorithms=["SP", 1]), "'algorithms' must be a string, got 1"),
-        ({"experiment": "bounds-table", "deltas": [0.2], "families": [1]},
-         "'families' must be a string, got 1"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(raw)
@@ -129,8 +116,6 @@ def test_config_validation():
         (config_dict(trials_per_cel=5), "unknown field 'trials_per_cel'"),
         (config_dict(grid=[{"m": 12, "N": 24, "s": 2, "sigma": 1e-3}]),
          "unknown field 'sigma' in a 'grid' entry"),
-        ({"experiment": "bounds-table", "deltas": [True], "families": ["sp"]},
-         "'deltas' must be a number, got True"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(raw)
@@ -169,14 +154,6 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**good | {field: value})
-    bounds_table = dict(good, experiment="bounds-table", grid=(), deltas=(0.2,), families=("sp",))
-    for field, value, message in (
-        ("deltas", ("0.2",), "'deltas' must be a number, got '0.2'"),
-        ("families", (1,), "'families' must be a string, got 1"),
-        ("output_path", 3, "'output_path' must be a string, got 3"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            ExperimentConfig(**bounds_table | {field: value})
     # Any real number is a number, numpy's included.
     ExperimentConfig(**good | {"grid": (GridCell(12, 24, 2, np.float32(0.5)),), "success_threshold": 1})
     cells, _ = run_experiment(ExperimentConfig(**good | {"master_seed": np.uint64(1)}))
@@ -186,10 +163,10 @@ def test_config_validation():
 def test_python_config_takes_the_json_defaults():
     # The defaults are declared once, on the dataclass: a config built in
     # Python equals the one read from the same minimal JSON.
-    built = ExperimentConfig("bounds-table", deltas=(0.2,), families=("sp",))
-    assert built == ExperimentConfig.from_dict({"experiment": "bounds-table", "deltas": [0.2], "families": ["sp"]})
-    assert (built.algorithms, built.grid, built.trials_per_cell, built.master_seed, built.output_path) == (
-        ("SP",), (), 1, 0, "results.csv"
+    built = ExperimentConfig("phase-transition", grid=(GridCell(12, 24, 2, 0.0),))
+    assert built == ExperimentConfig.from_dict({"experiment": "phase-transition", "grid": [{"m": 12, "N": 24, "s": 2}]})
+    assert (built.algorithms, built.trials_per_cell, built.master_seed, built.output_path) == (
+        ("SP",), 1, 0, "results.csv"
     )
 
 
@@ -366,22 +343,6 @@ def test_overflowing_cell_is_skipped(experiment, tmp_path):
         assert other_cells(overflowing) == other_cells(noiseless)
 
 
-def test_bounds_table_rows():
-    cfg = ExperimentConfig.from_dict(
-        {
-            "experiment": "bounds-table",
-            "deltas": [0.0, 0.2, 0.4],
-            "families": ["sp", "cosamp"],
-            "output_path": "bt.csv",
-        }
-    )
-    rows, details = run_experiment(cfg)
-    assert details == []
-    assert len(rows) == 6
-    assert rows[0]["family"] == "SP" and rows[0]["rho"] == 0.0
-    assert all(r["valid"] for r in rows)
-
-
 def test_config_json_round_trip(tmp_path):
     raw = config_dict(output_path=str(tmp_path / "o.csv"))
     path = tmp_path / "cfg.json"
@@ -414,10 +375,6 @@ def test_python_and_json_configs_write_the_same_bytes(tmp_path):
 def reference_run(cfg):
     """``run_experiment``'s rows rebuilt from the library calls, one
     algorithm and one trial at a time."""
-    if cfg.experiment == "bounds-table":
-        pairs = itertools.product(cfg.families, cfg.deltas)
-        head = {"schema_version": SCHEMA_VERSION, "experiment": cfg.experiment}
-        return [head | {"row_index": i} | bound_row(bounds_for(f, d)) for i, (f, d) in enumerate(pairs)], []
     cells, details = [], []
     for ci, cell in enumerate(cfg.grid):
         instances, overflow = [], None
@@ -485,7 +442,7 @@ def reference_run(cfg):
     return cells, details
 
 
-@pytest.mark.parametrize("experiment", ["phase-transition", "convergence", "audit", "bounds-table"])
+@pytest.mark.parametrize("experiment", ["phase-transition", "convergence", "audit"])
 def test_rows_match_the_library_calls(experiment):
     # Pins the engine's cell, trial and iteration rows to the library calls
     # they come from, on this machine's BLAS.  Cell 1 is over the audit
@@ -502,7 +459,7 @@ def test_rows_match_the_library_calls(experiment):
     orders = (["SP", "CoSaMP"], ["CoSaMP", "SP"])
     for algorithms, kind in itertools.product(orders, ("exact-sparse", "almost-sparse")):
         raw = config_dict(experiment=experiment, algorithms=algorithms, kind=kind, grid=grid,
-                          trials_per_cell=3, ric_budget=10000, deltas=[0.0, 0.3], families=["sp", "cosamp"])
+                          trials_per_cell=3, ric_budget=10000)
         cfg = ExperimentConfig.from_dict(raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

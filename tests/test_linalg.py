@@ -206,8 +206,6 @@ NUMBER_ARGUMENTS = {
     "ExperimentConfig.trials_per_cell": (lambda v: _config(trials_per_cell=v), "'trials_per_cell'", 2, 0),
     "ExperimentConfig.master_seed": (lambda v: _config(master_seed=v), "'master_seed'", 1, None),
     "ExperimentConfig.ric_budget": (lambda v: _config(ric_budget=v), "'ric_budget'", 10, 0),
-    "ExperimentConfig.deltas": (
-        lambda v: _config(experiment="bounds-table", grid=(), deltas=(v,), families=("sp",)), "'deltas'", 0.0, 1.0),
     "GridCell.m": (lambda v: _config(grid=(GridCell(v, 24, 2, 0.0),)), "'m'", 12, None),
     "GridCell.N": (lambda v: _config(grid=(GridCell(12, v, 2, 0.0),)), "'N'", 24, None),
     "GridCell.s": (lambda v: _config(grid=(GridCell(12, 24, v, 0.0),)), "'s'", 2, None),
