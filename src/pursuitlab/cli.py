@@ -97,6 +97,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise ValueError(f"--solve expects rho=<r>, got {args.solve!r}")
         if len(args.family) != 1:
             raise ValueError("--solve takes one --family")
+        for flag in ("delta", "format"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--solve takes no --{flag}")
         family = canonical_family(args.family[0])
         delta = delta_for_rho(family, rho)
         _emit(dump_json({"family": family, "target_rho": rho, "delta": delta}), args.output)
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", nargs="+", default=["sp"])
     p.add_argument("--delta", nargs="+", type=float)
     p.add_argument("--solve", metavar="rho=<r>", help="invert the rate formula")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--format", choices=("text", "csv", "json"))  # None prints text
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_bounds)
 

@@ -131,9 +131,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """The config a parsed JSON object describes; a missing field takes
-        its default.  JSON has one number type, so an integral float is an
-        integer, and a JSON list is a tuple."""
+        """The config a parsed JSON object describes; a missing field other
+        than ``experiment`` and ``grid`` takes its default.  JSON has one
+        number type, so an integral float is an integer, and a JSON list is
+        a tuple."""
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
 
@@ -158,14 +159,13 @@ class ExperimentConfig:
             c = read(entry, ("m", "N", "s", "noise_sigma"), ("m", "N", "s"), " in a 'grid' entry")
             return GridCell(c["m"], c["N"], c["s"], c.get("noise_sigma", 0.0))
 
-        values = read(raw, {f.name for f in fields(cls)}, ("experiment",))
+        values = read(raw, {f.name for f in fields(cls)}, ("experiment", "grid"))
         for name in ("algorithms", "grid"):
             if name in values:
                 if not isinstance(values[name], list):
                     raise ValueError(f"'{name}' must be a list, got {values[name]!r}")
                 values[name] = tuple(values[name])
-        if "grid" in values:
-            values["grid"] = tuple(map(cell, values["grid"]))
+        values["grid"] = tuple(map(cell, values["grid"]))
         return cls(**values)
 
     @classmethod

@@ -8,32 +8,26 @@ size-s column Gram block from the identity:
 ``exact_ric`` certifies it over every support (restricting to |S| = s
 suffices: any smaller block is a principal submatrix of a size-s block,
 whose deviation dominates).  ``sampled_ric_lower_bound`` scans seeded
-random supports (its docstring gives the draw).  Both cut their blocks from
-one deviation matrix G - I and solve them with one ``eigvalsh`` call, with
-no symmetrisation, so no support's sampled value can differ from its
-certified one and the sampled bound never exceeds the exact value.
+random supports (its docstring gives the draw).  Both cut their blocks
+from one deviation matrix G - I, with no symmetrisation, and run them
+through one scan, ``_scan``, so no support's sampled value can differ from
+its certified one and the sampled bound never exceeds the exact value.
+The scan screens each block A by || A @ A ||_F^(1/2) and || A^4 ||_F^(1/4)
+and solves only the supports whose bound reaches the best value already
+solved (the incumbent): started from greedy seed supports in
+``exact_ric``, from one of its own trials in the sampled bound.
 
-The exhaustive certification walks a tree of supports instead of listing
-them.  A node is a prefix P together with the columns R = {a, ..., N-1}
-after it; its subtree holds every support P + Q with Q drawn from R.  Each
-such block is a principal submatrix of the node block on T = P + R, so by
-Cauchy interlacing its deviation is at most || G_T - I ||_2.  That norm is
-bounded from above by || A^(2^k) ||_F^(1/2^k) for A = G_T - I, a few
-matrix products, and a subtree whose bound is below the best value already
-solved (the incumbent) is skipped whole.  The incumbent starts from the
-solved values of a few greedy seed supports (``_greedy_seeds``), so most
-of the tree is skipped before the first leaf is reached, and most
-supports that reach the screen are dropped there rather than solved.
+``exact_ric`` also walks a tree of supports instead of listing them.  A
+node is a prefix P together with the columns R = {a, ..., N-1} after it;
+its subtree holds every support P + Q with Q drawn from R.  By Cauchy
+interlacing each such block's deviation is at most that of the node block
+A = G_T - I on T = P + R, which || A^(2^k) ||_F^(1/2^k) bounds from above,
+and a subtree whose bound is below the incumbent is skipped whole.
 
-The supports left over reach a per-support screen, which bounds each
-deviation block by || A @ A ||_F^(1/2) = (sum_i lambda_i^4)^(1/4), and by
-|| A^4 ||_F^(1/4) where that is not enough, and hands to the eigensolver
-only supports whose bound reaches the incumbent.  Every bound is widened
-by a rounding slack, so neither the tree nor the screen can change a
-reported value or witness; they only skip work.  The argument is stated
-once, in ``exact_ric``'s docstring.  ``RicEstimate.supports_screened``
-counts the supports that reached the screen and
-``RicEstimate.blocks_evaluated`` the eigen-solves.
+Every bound is widened by a rounding slack, so neither the tree nor the
+screen can change a reported value or witness; they only skip work (see
+``_scan`` and ``exact_ric``).  ``RicEstimate.blocks_evaluated`` counts
+the eigen-solves.
 
 Values above 1 are reported as-is: they simply mean the matrix has no
 restricted isometry at that order (some block is singular or worse).
@@ -43,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,8 +77,8 @@ _TREE_MIN_SUPPORTS = 3000
 
 # The screen keeps a support when b * (1 + _SCREEN_SLACK) + _SCREEN_FLOOR is
 # not below the incumbent.  The relative slack covers rounding in the bound
-# and in the eigensolver (exact_ric widens it for orders beyond about 60);
-# the absolute floor covers underflow in the bound's sums (see exact_ric).
+# and in the eigensolver (_scan widens it for orders beyond about 60);
+# the absolute floor covers underflow in the bound's sums (see _scan).
 _SCREEN_SLACK = 1e-9
 _SCREEN_FLOOR = 1e-30
 
@@ -112,12 +107,12 @@ class RicEstimate:
     the number of supports the value covers: C(N, s) for exact mode, where
     every support is certified by a tree node's bound, by the screening
     bound or by an eigen-solve, and the trial count for sampled mode.
-    ``blocks_evaluated`` is the number of eigen-solves run on supports
-    (for exact mode, not counting the seeds that start the incumbent) and,
-    for exact mode, ``supports_screened`` the number of supports that
-    reached the per-support screen, that is, that no skipped subtree
-    covered; both are kept in memory only and are not part of any output
-    file.
+    ``blocks_evaluated`` counts the eigen-solves run on supports: in exact
+    mode not the seeds' that start the incumbent, in sampled mode at most
+    the trial count (1 to 34 of 1,000 trials at order 8 on 32 seeded
+    14 x 20 and 400 x 20 Gaussian matrices each).  ``supports_screened`` counts the supports
+    of exact mode that reached the per-support screen, that no skipped
+    subtree covered.  Both stay in memory and are in no output file.
     """
 
     s: int
@@ -159,61 +154,28 @@ def exact_ric(
 ) -> RicEstimate:
     """Certify the order-s constant over every support, pruning by bounds.
 
-    The incumbent, the best value solved so far, starts at the largest
-    deviation among the greedy seed supports (see ``_greedy_seeds``).
-    ``_surviving_leaves`` walks the tree of prefix nodes depth first and
-    in lexicographic order, skips every subtree whose widened node bound is
-    below the incumbent, and yields the remaining supports in lexicographic
-    chunks of at most ``_chunk_rows(s)``.  For each chunk the deviation
-    blocks A = G[S, S] - I are gathered once and bounded by
-    b = ||A @ A||_F^(1/2) >= ||A||_2; where b does not already screen a
-    support out, it is replaced by the smaller of b and ||A^4||_F^(1/4).
-    A support is screened out when b * (1 + 1e-9) + 1e-30 is below the
-    incumbent.  The kept supports are solved with ``eigvalsh`` (a seed that
-    is kept is solved again, to the same bits), and the incumbent then
-    rises to the chunk's best.  Screened-out supports get -inf, never NaN.
-    The chunk's first-index argmax replaces the running maximum on strict
-    improvement only, so among exactly tied maximizers the reported
-    witness is the lexicographically smallest.
+    The incumbent starts at the largest deviation among the greedy seed
+    supports (see ``_greedy_seeds``).  ``_surviving_leaves`` walks the tree
+    of prefix nodes depth first, skips every subtree whose widened node
+    bound is below the incumbent, and yields the other supports to
+    ``_scan`` in lexicographic chunks of at most ``_chunk_rows(s)``; a kept
+    seed is solved again there, to the same bits.
 
     Value and witness equal those of an unscreened scan, bit for bit,
-    whatever the seeds:
-
-    * The incumbent is always a solved value, a seed's or a chunk's, so it
-      never exceeds the final maximum M.
-    * A skipped subtree holds no maximizer.  Its widened node bound is
-      below the incumbent, hence below M, and it is at least the solved
-      value of every support in the subtree: by interlacing the exact node
-      norm dominates each support's exact norm; the relative slack
-      1e-9 + 16 t^3 eps exceeds the rounding of the node bound on t
-      columns (about t^(5/2) eps relative, see ``_node_bounds``) plus the
-      eigensolver's backward error (about s eps ||A||_2); the absolute
-      floor covers blocks whose deviation is below 1e-30.
-    * A screened-out support is no maximizer either.  Its widened bound is
-      below M, while the computed bound of a support with solved value M
-      is not: its exact bound dominates its exact norm, and the relative
-      slack exceeds the rounding in the products and sums of squares (at
-      most about s^3 eps relative) plus the eigensolver's error.  Those
-      sums scale as ||A||_2^4 and ||A||_2^8, so they stay in the normal
-      range while ||A||_2 is above about 1e-38; the floor keeps every
-      support when M is below 1e-30.  An overflowing product gives an
-      infinite or NaN bound: the screen keeps NaN, and ``fmin`` falls back
-      from an infinite or NaN refinement to b.
-    * So every maximizer is solved in the walk, by the same ``eigvalsh`` on
-      the same block, and a batched ``eigvalsh`` solves each matrix on its
-      own, so its value is bitwise the unscreened one.  Supports screened
-      out hold -inf < M and cannot win an argmax.
-    * The walk yields supports in lexicographic order, so first-index
-      argmax within a chunk plus strict improvement across chunks return
-      the lexicographically smallest maximizer, exactly as the unscreened
-      scan does.
+    whatever the seeds.  ``_scan`` argues it for the screen.  A skipped
+    subtree holds no maximizer: its widened node bound is below the
+    incumbent, hence below the final maximum M, and at least the solved
+    value of each of its supports.  By interlacing the exact node norm
+    dominates each support's exact norm; the relative slack
+    1e-9 + 16 t^3 eps exceeds the rounding of the node bound on t columns
+    (about t^(5/2) eps relative, see ``_node_bounds``) plus the
+    eigensolver's backward error; the absolute floor covers deviations
+    below 1e-30.  Since the walk is lexicographic, the first maximizer is
+    the lexicographically smallest, as in the unscreened scan.
 
     Every support is certified, by a node bound, by the screen or by an
-    eigen-solve, so ``supports_examined`` is C(N, s).
-    ``supports_screened`` counts the supports that reached the screen
-    (C(N, s) minus those in skipped subtrees) and ``blocks_evaluated`` the
-    eigen-solves of the walk, at most one per support; the seeds' solves,
-    which only start the incumbent, are not counted.
+    eigen-solve, so ``supports_examined`` is C(N, s) (``RicEstimate``
+    describes the other counts).
 
     Raises:
         EnumerationBudgetError: C(N, s) exceeds ``budget``.
@@ -229,24 +191,9 @@ def exact_ric(
         raise EnumerationBudgetError(total, budget)
 
     dev = _deviation(phi)
-    incumbent = float(_deviations(_blocks(dev, _greedy_seeds(dev, s))).max())
-    best = -np.inf
-    witness: tuple[int, ...] = tuple(range(s))
-    evaluated = screened = 0
-    widen = 1.0 + _SCREEN_SLACK + 16 * s**3 * np.finfo(float).eps
-    for combos in _surviving_leaves(dev, s, _chunk_rows(s), lambda: incumbent):
-        screened += len(combos)
-        blocks = _blocks(dev, combos)
-        kept = _screen(blocks, incumbent, widen)
-        values = np.full(len(combos), -np.inf)
-        if kept.size:  # most chunks keep no support
-            values[kept] = _deviations(blocks[kept])
-        evaluated += kept.size
-        i = int(np.argmax(values))
-        incumbent = max(incumbent, float(values[i]))
-        if values[i] > best:
-            best = float(values[i])
-            witness = tuple(int(j) for j in combos[i])
+    seeded = float(_deviations(_blocks(dev, _greedy_seeds(dev, s))).max())
+    leaves = partial(_surviving_leaves, dev, s, _chunk_rows(s))
+    best, witness, evaluated, screened = _scan(dev, s, seeded, leaves)
     return RicEstimate(
         s=s,
         value=best,
@@ -258,6 +205,64 @@ def exact_ric(
     )
 
 
+def _scan(dev: np.ndarray, s: int, incumbent: float, stacks):
+    """The largest deviation over stacks of supports, solving only those
+    the screen keeps: (value, witness, eigen-solves, supports screened).
+
+    ``stacks(current)`` yields (k, s) ``intp`` arrays of supports, and
+    ``current()`` reads the incumbent, the best value solved so far.  An
+    incumbent of -inf starts at the first stack's support with the largest
+    ||A @ A||_F, solved once, its value kept in place.  ``_screen`` drops
+    the supports whose bound b >= ||A||_2 on A = G[S, S] - I (the smaller
+    of ||A @ A||_F^(1/2) and ||A^4||_F^(1/4)), widened to
+    b * (1 + 1e-9 + 16 s^3 eps) + 1e-30, is below the incumbent; the rest
+    are solved with one ``eigvalsh`` call and the incumbent rises to the
+    stack's best.  Dropped supports hold -inf, never NaN, and the stack's
+    first-index argmax replaces the running maximum only on strict
+    improvement.  Value and witness are those of solving every support:
+
+    * The incumbent is always the solved value of a support that counts
+      (a trial of the sampled bound, a seed of ``exact_ric``), so it never
+      exceeds the final maximum M.
+    * A dropped support is no maximizer.  Its widened bound is below M,
+      while the computed bound of a support with solved value M is not:
+      its exact bound dominates its exact norm, and the relative slack
+      exceeds the rounding in the products and sums of squares (about
+      s^3 eps relative) plus the eigensolver's backward error (about
+      s eps ||A||_2).  Those sums scale as ||A||_2^4 and ||A||_2^8, so
+      they stay normal while ||A||_2 is above about 1e-38; the floor keeps
+      every support when M is below 1e-30.  An overflowing product gives
+      an infinite or NaN bound: the screen keeps NaN, and ``fmin`` falls
+      back from an infinite or NaN refinement to b.
+    * So every maximizer is solved by the same ``eigvalsh`` on the same
+      block, which a batched call solves on its own, to the unscreened
+      bits, and the first maximizer in scan order wins the argmax.
+    """
+    best, witness, evaluated, screened = -np.inf, tuple(range(s)), 0, 0
+    widen = 1.0 + _SCREEN_SLACK + 16 * s**3 * np.finfo(float).eps
+    for supports in stacks(lambda: incumbent):
+        screened += len(supports)
+        blocks = _blocks(dev, supports)
+        values = np.full(len(supports), -np.inf)
+        if incumbent == -np.inf:
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = blocks @ blocks
+                first = int(np.argmax(np.einsum("kij,kij->k", squares, squares)))
+            values[first] = incumbent = float(_deviations(blocks[first : first + 1])[0])
+            evaluated += 1
+        kept = _screen(blocks, incumbent, widen)
+        kept = kept[values[kept] == -np.inf]
+        if kept.size:  # most stacks keep no support
+            values[kept] = _deviations(blocks[kept])
+        evaluated += kept.size
+        i = int(np.argmax(values))
+        incumbent = max(incumbent, float(values[i]))
+        if values[i] > best:
+            best = float(values[i])
+            witness = tuple(int(j) for j in supports[i])
+    return best, witness, evaluated, screened
+
+
 def _blocks(dev: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """The blocks dev[S, S], one per row S of ``supports``."""
     n = len(dev)
@@ -266,7 +271,7 @@ def _blocks(dev: np.ndarray, supports: np.ndarray) -> np.ndarray:
 
 def _screen(blocks: np.ndarray, incumbent: float, widen: float) -> np.ndarray:
     """Indices of the deviation blocks whose widened screening bound is not
-    below the incumbent (see ``exact_ric``)."""
+    below the incumbent (see ``_scan``)."""
     with np.errstate(over="ignore", invalid="ignore"):
         squares = blocks @ blocks
         bounds = np.sqrt(np.sqrt(np.einsum("kij,kij->k", squares, squares)))
@@ -466,13 +471,13 @@ def sampled_ric_lower_bound(
     the same supports).
 
     Blocks are cut from ``exact_ric``'s deviation matrix, not symmetrised,
-    and solved in stacks as ``exact_ric`` solves them, so a support's value
-    is bitwise its certified one; the maximum is updated on strict
-    improvement only, so the witness is the first trial attaining the value.
-    That matrix holds 8 * N**2 bytes (33.5 MB at N = 2048), the ``ric``
-    command's memory peak, on purpose: a block formed per trial as
-    phi[:, S]^T phi[:, S] is not bitwise the same (none of 20 supports at
-    512 x 2048 was).
+    and screened and solved by ``_scan`` from an incumbent that is one of
+    the trials, never a seed, so each value is bitwise its certified one
+    and the witness is the first trial attaining the maximum;
+    ``blocks_evaluated`` counts the solves, at most ``trials``.  That matrix
+    holds 8 * N**2 bytes (33.5 MB at N = 2048), the ``ric`` command's memory
+    peak, on purpose: a block formed per trial as phi[:, S]^T phi[:, S] is
+    not bitwise the same (none of 20 supports at 512 x 2048 was).
 
     Raises:
         ValueError: ``s``, ``trials`` or ``seed`` is not an integer (a
@@ -485,30 +490,25 @@ def sampled_ric_lower_bound(
     check_integer(trials, "trials", 1)
     check_integer(seed, "seed")
 
-    dev = _deviation(phi)
-    best = -np.inf
-    witness: tuple[int, ...] = tuple(range(s))
     rows = _chunk_rows(s)
     # Draw batches are sized by trial count, not by eigen stack, so that
     # large orders still draw many trials per pass; the drawing holds about
     # 8 * N bytes per trial.
     draws = max(1, min(_CHUNK, _DRAW_BYTES // (8 * n)))
-    for first in range(0, trials, draws):
-        batch = sorted_choices(derive_seeds(seed, first, min(draws, trials - first)), n, s)
-        for start in range(0, len(batch), rows):
-            supports = batch[start : start + rows]
-            values = _deviations(_blocks(dev, supports))
-            i = int(np.argmax(values))
-            if values[i] > best:
-                best = float(values[i])
-                witness = tuple(int(j) for j in supports[i])
+
+    def stacks(_incumbent):
+        for first in range(0, trials, draws):
+            batch = sorted_choices(derive_seeds(seed, first, min(draws, trials - first)), n, s)
+            yield from (batch[start : start + rows] for start in range(0, len(batch), rows))
+
+    best, witness, evaluated, _ = _scan(_deviation(phi), s, -np.inf, stacks)
     return RicEstimate(
         s=s,
         value=best,
         mode="lower-bound",
         witness=SupportSet(witness, n),
         supports_examined=trials,
-        blocks_evaluated=trials,
+        blocks_evaluated=evaluated,
     )
 
 

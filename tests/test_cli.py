@@ -287,6 +287,19 @@ def test_bounds_outputs():
     assert out.stderr == "error: --solve expects rho=<r>, got 'rho=abc'\n"
 
 
+@pytest.mark.parametrize("extra,flag", [
+    (("--delta", "0.3"), "--delta"),
+    (("--format", "csv"), "--format"),
+    (("--format", "text"), "--format"),
+    (("--delta", "0.3", "--format", "csv"), "--delta"),
+])
+def test_bounds_solve_rejects_table_options(extra, flag):
+    # --solve prints one JSON payload; a table option would be ignored.
+    out = run_cli("bounds", "--solve", "rho=0.5", *extra)
+    assert out.returncode == 1
+    assert out.stdout == "" and out.stderr == f"error: --solve takes no {flag}\n"
+
+
 def test_bound_outputs_match_golden_bytes(tmp_path):
     # Recorded before the bound rows had one row builder and one CSV writer;
     # both are plain float arithmetic, so the bytes do not depend on the
@@ -359,6 +372,7 @@ def test_experiment_cli_round_trip(tmp_path, capsys):
         "'m' must be an integer, got None": {**cfg, "grid": [{**cfg["grid"][0], "m": None}]},
         "'per_trial' must be a boolean, got 'false'": {**cfg, "per_trial": "false"},
         "missing required field 'experiment'": {k: v for k, v in cfg.items() if k != "experiment"},
+        "missing required field 'grid'": {k: v for k, v in cfg.items() if k != "grid"},
         "missing required field 'm' in a 'grid' entry": {**cfg, "grid": [{"N": 24, "s": 2}]},
         "unknown field 'trials_per_cel'": {**cfg, "trials_per_cel": 5},
         "unknown field 'sigma' in a 'grid' entry": {**cfg, "grid": [{**cfg["grid"][0], "sigma": 1e-3}]},
@@ -436,9 +450,10 @@ def test_experiment_checks_output_directory_before_any_cell(tmp_path, capsys, mo
     assert main(args) == 0
     assert cells == [0, 1, 2, 3]
     # Bound tables are the bounds command's: a bounds-table config, or one
-    # with a 'deltas' key, is refused before any cell runs.
+    # with a 'deltas' key, is refused before any cell runs.  (A config with
+    # no grid is refused for that first.)
     refused = [
-        ({"experiment": "bounds-table", "output_path": "b.csv"},
+        (cfg | {"experiment": "bounds-table", "output_path": "b.csv"},
          "experiment must be one of ('phase-transition', 'convergence', 'audit')"),
         (cfg | {"deltas": [0.2], "output_path": "b.csv"}, "unknown field 'deltas'"),
     ]

@@ -96,6 +96,7 @@ def test_config_validation():
     # per_trial is a JSON boolean ("false" is not true).  A missing
     # required field is named.
     no_experiment = {k: v for k, v in config_dict().items() if k != "experiment"}
+    no_grid = {k: v for k, v in config_dict().items() if k != "grid"}
     for raw, message in (
         (config_dict(trials_per_cell=[1]), r"'trials_per_cell' must be an integer >= 1, got \[1\]"),
         (config_dict(trials_per_cell=2.7), "'trials_per_cell' must be an integer >= 1, got 2.7"),
@@ -111,6 +112,8 @@ def test_config_validation():
         (config_dict(per_trial=1), "'per_trial' must be a boolean, got 1"),
         (config_dict(output_path=3), "'output_path' must be a string, got 3"),
         (no_experiment, "missing required field 'experiment'"),
+        (no_grid, "missing required field 'grid'"),
+        (config_dict(grid=[]), "grid must be non-empty"),
         # A misspelt key is named rather than ignored: 'trials_per_cel' used
         # to run 1 trial per cell and a grid 'sigma' a noiseless cell.
         (config_dict(trials_per_cel=5), "unknown field 'trials_per_cel'"),
