@@ -65,11 +65,16 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_ric(args: argparse.Namespace) -> int:
+    for flag in ("trials", "seed") if args.mode == "exact" else ("budget",):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--mode {args.mode} takes no --{flag}")
     phi = read_matrix(args.matrix)
     if args.mode == "exact":
-        estimate = exact_ric(phi, args.sparsity, budget=args.budget)
+        budget = DEFAULT_ENUMERATION_BUDGET if args.budget is None else args.budget
+        estimate = exact_ric(phi, args.sparsity, budget=budget)
     else:
-        estimate = sampled_ric_lower_bound(phi, args.sparsity, args.trials, args.seed)
+        trials = 100 if args.trials is None else args.trials
+        estimate = sampled_ric_lower_bound(phi, args.sparsity, trials, args.seed or 0)
     _emit(dump_json(ric_payload(estimate)), args.output)
     return 0
 
@@ -191,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--sparsity", "-s", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
+    # None marks a flag not given: each applies to one mode only.
+    p.add_argument("--trials", type=int, help="sampled mode (default 100)")
+    p.add_argument("--seed", type=int, help="sampled mode (default 0)")
+    p.add_argument("--budget", type=int, help=f"exact mode (default {DEFAULT_ENUMERATION_BUDGET})")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_ric)
 

@@ -21,13 +21,14 @@ solved (the incumbent): started from greedy seed supports in
 node is a prefix P together with the columns R = {a, ..., N-1} after it;
 its subtree holds every support P + Q with Q drawn from R.  By Cauchy
 interlacing each such block's deviation is at most that of the node block
-A = G_T - I on T = P + R, which || A^(2^k) ||_F^(1/2^k) bounds from above,
-and a subtree whose bound is below the incumbent is skipped whole.
+A = G_T - I on T = P + R, at most || A^16 ||_F^(1/16), and a subtree where
+that bound, widened, is below the incumbent is skipped whole; the node
+test decides it without a root, as || (cA)^16 ||_F^2 < 1.
 
 Every bound is widened by a rounding slack, so neither the tree nor the
 screen can change a reported value or witness; they only skip work (see
-``_scan`` and ``exact_ric``).  ``RicEstimate.blocks_evaluated`` counts
-the eigen-solves.
+``_scan`` and ``_nodes_skipped``).  ``RicEstimate.blocks_evaluated``
+counts the eigen-solves.
 
 Values above 1 are reported as-is: they simply mean the matrix has no
 restricted isometry at that order (some block is singular or worse).
@@ -61,18 +62,19 @@ _CHUNK_ENTRIES = 512 * 64
 # Bytes the sampled bound's support drawing may hold at once.
 _DRAW_BYTES = 1 << 22
 
-# A tree node's bound squares its scaled block this many times, so it
-# overestimates ||A||_2 by a factor of at most t^(1/32) for t columns.
+# The node test squares its scaled block this many times, and so compares
+# ||A||_2 with the incumbent up to a factor of at most t^(1/32) for t
+# columns, without a root (rounding: see _nodes_skipped).
 _NODE_SQUARINGS = 4
 
-# A node is bounded only when screening its supports one by one would cost
-# more than this many times bounding its block (s^3 per support against
+# A node is tested only when screening its supports one by one would cost
+# more than this many times testing its block (s^3 per support against
 # t^3 per node, the cost of one matrix product).
 _NODE_COST = 3.0
 
-# Trees of fewer supports test no nodes, whose fixed costs outweigh what
-# they skip there: C(12, 8) and C(16, 4) ran 1.5x and 1.2x faster without
-# them, C(14, 6) = 3003 broke even, C(20, 8) ran 2x slower.
+# Trees of fewer supports test no nodes, whose fixed costs outweigh what they
+# skip there: C(12, 8) and C(16, 4) ran 1.1-1.3x faster without them, C(14, 6)
+# = 3003 even to 1.25x slower, C(20, 8) 4-9x slower (Gaussian, m = 14 and 400).
 _TREE_MIN_SUPPORTS = 3000
 
 # The screen keeps a support when b * (1 + _SCREEN_SLACK) + _SCREEN_FLOOR is
@@ -156,8 +158,8 @@ def exact_ric(
 
     The incumbent starts at the largest deviation among the greedy seed
     supports (see ``_greedy_seeds``).  ``_surviving_leaves`` walks the tree
-    of prefix nodes depth first, skips every subtree whose widened node
-    bound is below the incumbent, and yields the other supports to
+    of prefix nodes depth first, skips every subtree whose node passes
+    ``_nodes_skipped``'s test, and yields the other supports to
     ``_scan`` in lexicographic chunks of at most ``_chunk_rows(s)``; a kept
     seed is solved again there, to the same bits.
 
@@ -166,14 +168,14 @@ def exact_ric(
     subtree holds no maximizer: its widened node bound is below the
     incumbent, hence below the final maximum M, and at least the solved
     value of each of its supports.  By interlacing the exact node norm
-    dominates each support's exact norm; the relative slack
-    1e-9 + 16 t^3 eps exceeds the rounding of the node bound on t columns
-    (about t^(5/2) eps relative, see ``_node_bounds``) plus the
-    eigensolver's backward error; the absolute floor covers deviations
-    below 1e-30.  Since the walk is lexicographic, the first maximizer is
-    the lexicographically smallest, as in the unscreened scan.
+    dominates each support's exact norm; the slack 1e-9 + 16 t^3 eps
+    exceeds the test's rounding on t columns (t^(5/2) eps relative) plus
+    the eigensolver's backward error; overflow only keeps a node, underflow
+    only skips one far below M, and no node is skipped while M <= 1e-30
+    (see ``_nodes_skipped``).  Since the walk is lexicographic, the first
+    maximizer is the lexicographically smallest, as in the unscreened scan.
 
-    Every support is certified, by a node bound, by the screen or by an
+    Every support is certified, by a node test, by the screen or by an
     eigen-solve, so ``supports_examined`` is C(N, s) (``RicEstimate``
     describes the other counts).
 
@@ -334,49 +336,46 @@ def _greedy_seeds(dev: np.ndarray, s: int) -> np.ndarray:
     return np.array(sorted({tuple(row) for row in np.sort(seeds, axis=1).tolist()}), dtype=np.intp)
 
 
-def _node_bounds(dev: np.ndarray, prefixes: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Widened upper bounds on ||G_T - I||_2 for the node blocks
-    T = P + {a, ..., N-1}, one per row P of ``prefixes`` and a of ``starts``.
-
-    ``dev`` is G - I.  The shorter blocks of a stack are padded with zero
-    rows and columns, which changes no bound.  Each block A is scaled to a
-    largest entry of 1, so ||A||_2 >= 1 and its powers can neither overflow
-    nor underflow, and squared k times; the bound is
-    scale * ||A^(2^k)||_F^(1/2^k).  Each squaring adds rounding of about
-    t^2 eps relative to ||A||_2^(2^j) (the product of t x t matrices, with
-    ||A||_F^2 <= t ||A||_2^2), errors at most double per squaring, and the
-    2^k-th root divides them back, so the computed bound falls short of an
-    upper bound by about t^(5/2) eps relative at most.  It is widened by
-    1 + 1e-9 + 16 t^3 eps and the absolute floor, like the screen's bound.
+def _nodes_skipped(padded: np.ndarray, prefixes: np.ndarray, starts: np.ndarray, m: float) -> np.ndarray:
+    """Whether each node block A = G_T - I on T = P + {a, ..., N-1} (P a
+    row of ``prefixes``, a of ``starts``, t = |T|) passes the skip test
+    b * widen + 1e-30 < m against the incumbent m, for b = ||A^16||_F^(1/16)
+    and widen = 1 + 1e-9 + 16 t^3 eps.  It is decided without a root or a
+    per-node scale: A, cut from ``padded`` (G - I with a zero row and
+    column appended, so shorter blocks pad by indexing), is scaled by
+    c = widen / (m - 1e-30), squared four times, and skipped where
+    ||(cA)^16||_F^2 < 1; none is skipped when m <= 1e-30.  Each squaring
+    adds rounding of about t^2 eps relative to ||cA||_2^(2^j), and errors
+    at most double per squaring, so the sum is off by about 32 t^(5/2) eps
+    relative (t^(5/2) eps on c * b), well inside the slack.  Overflow or
+    NaN gives a sum not below 1, which keeps the node.  A node whose exact
+    sum reaches 1 has ||cA||_2 >= t^(-1/32), so each power (cA)^(2^j) has
+    a norm of at least t^(-1/2), far above underflow's absolute error
+    (2^-1022 per operation): underflow only skips nodes far below m.
     """
-    n = len(dev)
+    n = len(padded) - 1
     k, p = prefixes.shape
+    if not m > _SCREEN_FLOOR:
+        return np.zeros(k, dtype=bool)
     width = p + n - int(starts.min())
     rows = max(1, _CHUNK_ENTRIES // (width * width))
     if k > rows:
         return np.concatenate(
-            [_node_bounds(dev, prefixes[i : i + rows], starts[i : i + rows]) for i in range(0, k, rows)]
+            [_nodes_skipped(padded, prefixes[i : i + rows], starts[i : i + rows], m) for i in range(0, k, rows)]
         )
-    tail = starts[:, None] + np.arange(width - p)
     idx = np.empty((k, width), dtype=np.intp)
     idx[:, :p] = prefixes
-    idx[:, p:] = np.minimum(tail, n - 1)
-    inside = np.ones((k, width), dtype=bool)
-    inside[:, p:] = tail < n
-    blocks = _blocks(dev, idx)
-    blocks *= inside[:, :, None] & inside[:, None, :]
-    flat = blocks.reshape(k, -1)
-    scale = np.maximum(flat.max(axis=1), -flat.min(axis=1))
-    scale[scale == 0] = 1.0
-    blocks /= scale[:, None, None]
+    idx[:, p:] = np.minimum(starts[:, None] + np.arange(width - p), n)
+    blocks = _blocks(padded, idx)
     spare = np.empty_like(blocks)
-    for _ in range(_NODE_SQUARINGS):
-        np.matmul(blocks, blocks, out=spare)
-        blocks, spare = spare, blocks
-    flat = blocks.reshape(k, -1)
-    bounds = scale * np.einsum("ki,ki->k", flat, flat) ** (0.5 ** (_NODE_SQUARINGS + 1))
-    t = p + n - starts
-    return bounds * (1.0 + _SCREEN_SLACK + 16.0 * t**3 * np.finfo(float).eps) + _SCREEN_FLOOR
+    scale = (1.0 + _SCREEN_SLACK + 16.0 * (p + n - starts) ** 3 * np.finfo(float).eps) / (m - _SCREEN_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks *= scale[:, None, None]
+        for _ in range(_NODE_SQUARINGS):
+            np.matmul(blocks, blocks, out=spare)
+            blocks, spare = spare, blocks
+        flat = blocks.reshape(k, -1)
+        return np.einsum("ki,ki->k", flat, flat) < 1.0
 
 
 def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
@@ -389,9 +388,9 @@ def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
     (P + {j}, j + 1) for j from a up to N - (s - |P|).  Since a node with a
     later start is a principal submatrix of one with an earlier start,
     children j >= a' all lie under the node (P, a'), so for each prefix a
-    vectorised binary search finds a start a' whose node bound is below the
-    incumbent, and only the children before a' are kept.  Starts whose
-    subtree is too small to repay a node bound (``_NODE_COST``) are not
+    vectorised binary search finds a start a' whose node ``_nodes_skipped``
+    skips, and only the children before a' are kept.  Starts whose
+    subtree is too small to repay a node test (``_NODE_COST``) are not
     tested, nor any node of a tree of fewer than ``_TREE_MIN_SUPPORTS``
     supports.  Prefixes are expanded a batch at a time, depth first, and at
     depth s - 1 the kept children are the supports themselves.  The stack
@@ -409,6 +408,7 @@ def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
             and math.comb(n - a, s - p) * s**3 >= _NODE_COST * (p + n - a) ** 3
         ]
         last_tested.append(max(worth, default=-1) if math.comb(n, s) >= _TREE_MIN_SUPPORTS else -1)
+    padded = np.pad(dev, (0, 1)) if max(last_tested) >= 0 else None  # for _nodes_skipped
     batch = max(1, _CHUNK_ENTRIES // (n * s))
     pending: list[np.ndarray] = []
     pending_rows = 0
@@ -423,7 +423,7 @@ def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
         right = np.full(k, last_tested[p] + 1)
         while (active := np.flatnonzero(right - left > 1)).size:
             mid = (left[active] + right[active]) // 2
-            skipped = _node_bounds(dev, prefixes[active], mid) < incumbent()
+            skipped = _nodes_skipped(padded, prefixes[active], mid, incumbent())
             right[active[skipped]] = mid[skipped]
             left[active[~skipped]] = mid[~skipped]
         end = np.where(right <= last_tested[p], right, n - s + p + 1)

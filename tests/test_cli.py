@@ -11,7 +11,16 @@ from conftest import examples, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuitlab import StoppingRule, bounds_for, cli, exact_ric, experiments, make_instance, subspace_pursuit
+from pursuitlab import (
+    StoppingRule,
+    bounds_for,
+    cli,
+    exact_ric,
+    experiments,
+    make_instance,
+    sampled_ric_lower_bound,
+    subspace_pursuit,
+)
 from pursuitlab.bounds import _ALIASES, DELTA_MAX, FAMILIES
 from pursuitlab.cli import main
 from pursuitlab.fileio import (
@@ -24,6 +33,7 @@ from pursuitlab.fileio import (
     ric_payload,
     write_rows,
 )
+from pursuitlab.ric import DEFAULT_ENUMERATION_BUDGET
 
 DATA = Path(__file__).parent / "data"
 
@@ -252,6 +262,32 @@ def test_ric_budget_exit(tmp_path):
     )
     assert out.returncode == 1
     assert "sampled_ric_lower_bound" in out.stderr
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (("--trials", "5"), "--trials"),
+    (("--seed", "9"), "--seed"),
+    (("--trials", "5", "--seed", "9"), "--trials"),
+    (("--mode", "exact", "--seed", "0"), "--seed"),
+    (("--mode", "sampled", "--budget", "1"), "--budget"),
+    (("--mode", "sampled", "--trials", "5", "--budget", "100"), "--budget"),
+])
+def test_ric_rejects_other_mode_options(extra, flag):
+    # Each of these options applies to one mode only; the other ignored it.
+    out = run_cli("ric", "--matrix", str(DATA / "ric_fixture_phi.csv"), "-s", "2", *extra)
+    mode = "sampled" if "sampled" in extra else "exact"
+    assert out.returncode == 1
+    assert out.stdout == "" and out.stderr == f"error: --mode {mode} takes no {flag}\n"
+
+
+def test_ric_mode_defaults():
+    # Omitted options keep their defaults: 100 trials at seed 0, and the
+    # library's enumeration budget.
+    phi = read_matrix(DATA / "ric_fixture_phi.csv")
+    out = run_cli("ric", "--matrix", str(DATA / "ric_fixture_phi.csv"), "-s", "2", "--mode", "sampled")
+    assert out.stdout == dump_json(ric_payload(sampled_ric_lower_bound(phi, 2, 100, 0)))
+    out = run_cli("ric", "--matrix", str(DATA / "ric_fixture_phi.csv"), "-s", "2")
+    assert out.stdout == dump_json(ric_payload(exact_ric(phi, 2, DEFAULT_ENUMERATION_BUDGET)))
 
 
 def test_bounds_outputs():

@@ -19,7 +19,7 @@ from pursuitlab import (
 from pursuitlab import ric
 from pursuitlab.draws import bounded, sorted_choices
 from pursuitlab.fileio import ric_payload
-from pursuitlab.ric import _node_bounds, _surviving_leaves
+from pursuitlab.ric import _nodes_skipped, _surviving_leaves
 from pursuitlab.seeding import derive_seed, derive_seeds
 
 
@@ -141,6 +141,19 @@ def columns_and_order(draw, max_columns):
     return n, draw(st.integers(1, n))
 
 
+@st.composite
+def node_stacks(draw, max_columns):
+    """(N, s, nodes): one to four tree nodes (P, a) of one depth |P| < s,
+    each above a support drawn at random."""
+    n, s = draw(columns_and_order(max_columns))
+    p = draw(st.integers(0, s - 1))
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=s, max_size=s)))
+        nodes.append((tuple(support[:p]), draw(st.integers(support[p - 1] + 1 if p else 0, support[p]))))
+    return n, s, nodes
+
+
 class TestScreenedEnumeration:
     """exact_ric screens supports by a norm bound; these compare it bit for
     bit with the unscreened scan."""
@@ -158,10 +171,10 @@ class TestScreenedEnumeration:
     @example(kind="rank-one", m=13, shape=(11, 6), seed=50900)
     @example(kind="tiny-deviation", m=9, shape=(13, 4), seed=26817)
     @example(kind="tiny-deviation", m=11, shape=(13, 8), seed=33390)
-    # Found by search: without the node bound's slack (first) or with the
+    # Found by search: without the node test's slack (first) or with the
     # best seed taken as the running maximum (second), another value or
     # witness is reported.
-    @example(kind="flat-rank-one", m=2, shape=(14, 5), seed=22)
+    @example(kind="flat-rank-one", m=2, shape=(14, 7), seed=6)
     @example(kind="duplicates", m=10, shape=(12, 4), seed=294)
     # Trees 5 to 8 levels deep, where 55% to 91% of the supports lie in
     # skipped subtrees.
@@ -195,36 +208,42 @@ class TestScreenedEnumeration:
     @given(
         kind=st.sampled_from(MATRIX_KINDS),
         m=st.integers(1, 30),
-        shape=columns_and_order(12),
         seed=st.integers(0, 2**16),
-        data=st.data(),
+        stack=node_stacks(12),
     )
-    def test_node_bound_covers_subtree(self, kind, m, shape, seed, data):
-        # The proof obligation of a skipped subtree: the widened bound of a
-        # node (P, {a, ..., N-1}) is at least the solved deviation of every
-        # support P + Q below it.  Several nodes go through one call, so the
+    # Node blocks that overflow when scaled by the inverse incumbent of
+    # another node (1e120 columns), with 1e-120 columns, with deviations of
+    # 1e-45 .. 1e-120, and with an all-zero node block (incumbent 0).
+    @example(kind="huge-columns", m=25, seed=6, stack=(12, 5, [((0, 1), 8), ((2, 3), 4), ((1, 4), 9)]))
+    @example(kind="tiny-columns", m=7, seed=0, stack=(12, 4, [((0,), 1), ((3,), 5), ((2,), 8)]))
+    @example(kind="tiny-deviation", m=9, seed=9, stack=(12, 6, [((0, 2), 3), ((1, 5), 6)]))
+    @example(kind="flat-rank-one", m=2, seed=98, stack=(12, 3, [((), 8), ((), 0)]))
+    def test_node_bound_covers_subtree(self, kind, m, seed, stack):
+        # The proof obligation of a skipped subtree, and that the test is
+        # not vacuous.  With the incumbent at the largest solved deviation
+        # below one node, no node whose subtree reaches it is skipped; with
+        # it at t^(1/32) (1 + 1e-6) ||A_T||_2 + 1e-30, above the node bound,
+        # the node is skipped.  Each test runs on the whole stack, so the
         # zero padding of the shorter blocks is exercised too.
-        n, s = shape
+        n, s, nodes = stack
         phi = screening_matrix(kind, m, n, seed)
         dev = phi.T @ phi - np.eye(n)
-        p = data.draw(st.integers(0, s - 1))
-        nodes = []
-        for _ in range(data.draw(st.integers(1, 4))):
-            support = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=s, max_size=s)))
-            a = data.draw(st.integers(support[p - 1] + 1 if p else 0, support[p]))
-            nodes.append((support[:p], a))
-        bounds = _node_bounds(
-            dev,
-            np.array([prefix for prefix, _ in nodes], dtype=np.intp).reshape(len(nodes), p),
-            np.array([a for _, a in nodes], dtype=np.intp),
-        )
-        for (prefix, a), bound in zip(nodes, bounds):
-            below = [
-                (*prefix, *rest) for rest in itertools.combinations(range(a, n), s - len(prefix))
-            ]
+        padded = np.pad(dev, (0, 1))
+        prefixes = np.array([prefix for prefix, _ in nodes], dtype=np.intp).reshape(len(nodes), len(nodes[0][0]))
+        starts = np.array([a for _, a in nodes], dtype=np.intp)
+        solved = []
+        for prefix, a in nodes:
+            below = [(*prefix, *rest) for rest in itertools.combinations(range(a, n), s - len(prefix))]
             combos = np.array(below, dtype=np.intp)
-            blocks = dev[combos[:, :, None], combos[:, None, :]]
-            assert bound >= np.abs(np.linalg.eigvalsh(blocks)).max()
+            solved.append(np.abs(np.linalg.eigvalsh(dev[combos[:, :, None], combos[:, None, :]])).max())
+        solved = np.array(solved)
+        for i, (prefix, a) in enumerate(nodes):
+            assert not _nodes_skipped(padded, prefixes, starts, solved[i])[solved >= solved[i]].any()
+            node = np.array([*prefix, *range(a, n)])
+            norm = np.abs(np.linalg.eigvalsh(dev[np.ix_(node, node)])).max()
+            if norm >= 1e-25:
+                ceiling = len(node) ** (1 / 32) * (1 + 1e-6) * norm + 1e-30
+                assert _nodes_skipped(padded, prefixes, starts, ceiling)[i]
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_low_orders_start_from_a_seed(self, s):
