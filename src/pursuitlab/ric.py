@@ -23,10 +23,13 @@ its subtree holds every support P + Q with Q drawn from R.  By Cauchy
 interlacing each such block's deviation is at most that of the node block
 A = G_T - I on T = P + R, at most || A^16 ||_F^(1/16), and a subtree where
 that bound, widened, is below the incumbent is skipped whole; the node
-test decides it without a root, as || (cA)^16 ||_F^2 < 1.
+test decides it without a root, as || (cA)^16 ||_F^2 < 1.  The walk takes
+the columns heaviest first (by row sums of |G - I|), so each trailing set
+R holds light columns and subtrees are skipped early.
 
-Every bound is widened by a rounding slack, so neither the tree nor the
-screen can change a reported value or witness; they only skip work (see
+Every bound is widened by a rounding slack and ties go to the
+lexicographically smallest support, so neither the tree nor the screen
+can change a reported value or witness; they only skip work (see
 ``_scan`` and ``_nodes_skipped``).  ``RicEstimate.blocks_evaluated``
 counts the eigen-solves.
 
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -72,9 +74,10 @@ _NODE_SQUARINGS = 4
 # t^3 per node, the cost of one matrix product).
 _NODE_COST = 3.0
 
-# Trees of fewer supports test no nodes, whose fixed costs outweigh what they
-# skip there: C(12, 8) and C(16, 4) ran 1.1-1.3x faster without them, C(14, 6)
-# = 3003 even to 1.25x slower, C(20, 8) 4-9x slower (Gaussian, m = 14 and 400).
+# Trees of fewer supports test no nodes.  Walking the heaviest columns first,
+# C(12, 8) ran 1.1-1.2x faster without node tests, while C(16, 4) = 1820 ran
+# even to 2x slower, C(14, 6) = 3003 even to 3x and C(20, 8) 9-18x slower
+# (Gaussian, m = 14 and 400, five seeds each).
 _TREE_MIN_SUPPORTS = 3000
 
 # The screen keeps a support when b * (1 + _SCREEN_SLACK) + _SCREEN_FLOOR is
@@ -158,22 +161,27 @@ def exact_ric(
 
     The incumbent starts at the largest deviation among the greedy seed
     supports (see ``_greedy_seeds``).  ``_surviving_leaves`` walks the tree
-    of prefix nodes depth first, skips every subtree whose node passes
-    ``_nodes_skipped``'s test, and yields the other supports to
-    ``_scan`` in lexicographic chunks of at most ``_chunk_rows(s)``; a kept
-    seed is solved again there, to the same bits.
+    of prefix nodes of G - I with its columns stably sorted by row sums of
+    |G - I|, heaviest first (a sum that overflows to inf moves only the
+    order), skips every subtree whose node passes ``_nodes_skipped``'s
+    test, and yields the other supports in chunks of at most
+    ``_chunk_rows(s)``.  Each is mapped back to the original columns in
+    increasing order, so ``_scan`` cuts the very block dev[S, S] a walk in
+    column order would; a kept seed is solved again there, to the same bits.
 
     Value and witness equal those of an unscreened scan, bit for bit,
     whatever the seeds.  ``_scan`` argues it for the screen.  A skipped
     subtree holds no maximizer: its widened node bound is below the
     incumbent, hence below the final maximum M, and at least the solved
-    value of each of its supports.  By interlacing the exact node norm
-    dominates each support's exact norm; the slack 1e-9 + 16 t^3 eps
-    exceeds the test's rounding on t columns (t^(5/2) eps relative) plus
-    the eigensolver's backward error; overflow only keeps a node, underflow
+    value of each of its supports.  A node block is a principal submatrix
+    of a permuted G - I, so by interlacing the exact node norm dominates
+    each support's exact norm; the slack 1e-9 + 16 t^3 eps exceeds the
+    test's rounding on t columns (t^(5/2) eps relative) plus the
+    eigensolver's backward error; overflow only keeps a node, underflow
     only skips one far below M, and no node is skipped while M <= 1e-30
-    (see ``_nodes_skipped``).  Since the walk is lexicographic, the first
-    maximizer is the lexicographically smallest, as in the unscreened scan.
+    (see ``_nodes_skipped``).  So every maximizer is solved, whatever the
+    walk order, and ``_scan``'s tie rule keeps the lexicographically
+    smallest, as the unscreened scan does.
 
     Every support is certified, by a node test, by the screen or by an
     eigen-solve, so ``supports_examined`` is C(N, s) (``RicEstimate``
@@ -194,8 +202,15 @@ def exact_ric(
 
     dev = _deviation(phi)
     seeded = float(_deviations(_blocks(dev, _greedy_seeds(dev, s))).max())
-    leaves = partial(_surviving_leaves, dev, s, _chunk_rows(s))
-    best, witness, evaluated, screened = _scan(dev, s, seeded, leaves)
+    with np.errstate(over="ignore"):
+        order = np.argsort(-np.abs(dev).sum(axis=1), kind="stable")
+    reordered = dev[np.ix_(order, order)]
+
+    def leaves(incumbent):
+        for chunk in _surviving_leaves(reordered, s, _chunk_rows(s), incumbent):
+            yield np.sort(order[chunk], axis=1)
+
+    best, witness, evaluated, screened = _scan(dev, s, seeded, leaves, smallest_tie=True)
     return RicEstimate(
         s=s,
         value=best,
@@ -207,7 +222,7 @@ def exact_ric(
     )
 
 
-def _scan(dev: np.ndarray, s: int, incumbent: float, stacks):
+def _scan(dev: np.ndarray, s: int, incumbent: float, stacks, smallest_tie: bool = False):
     """The largest deviation over stacks of supports, solving only those
     the screen keeps: (value, witness, eigen-solves, supports screened).
 
@@ -221,7 +236,10 @@ def _scan(dev: np.ndarray, s: int, incumbent: float, stacks):
     are solved with one ``eigvalsh`` call and the incumbent rises to the
     stack's best.  Dropped supports hold -inf, never NaN, and the stack's
     first-index argmax replaces the running maximum only on strict
-    improvement.  Value and witness are those of solving every support:
+    improvement; with ``smallest_tie`` (``exact_ric``'s walk is not
+    lexicographic) the lexicographically smallest support of the largest
+    value wins, also over a running maximum of the same bits.  Value and
+    witness are those of solving every support:
 
     * The incumbent is always the solved value of a support that counts
       (a trial of the sampled bound, a seed of ``exact_ric``), so it never
@@ -238,7 +256,8 @@ def _scan(dev: np.ndarray, s: int, incumbent: float, stacks):
       back from an infinite or NaN refinement to b.
     * So every maximizer is solved by the same ``eigvalsh`` on the same
       block, which a batched call solves on its own, to the unscreened
-      bits, and the first maximizer in scan order wins the argmax.
+      bits, in any stack order.  The first maximizer in scan order wins,
+      or with ``smallest_tie`` the lexicographically smallest one.
     """
     best, witness, evaluated, screened = -np.inf, tuple(range(s)), 0, 0
     widen = 1.0 + _SCREEN_SLACK + 16 * s**3 * np.finfo(float).eps
@@ -258,8 +277,11 @@ def _scan(dev: np.ndarray, s: int, incumbent: float, stacks):
             values[kept] = _deviations(blocks[kept])
         evaluated += kept.size
         i = int(np.argmax(values))
+        if smallest_tie and -np.inf < values[i] >= best:
+            tied = np.flatnonzero(values == values[i])
+            i = int(tied[np.lexsort(supports[tied].T[::-1])[0]])
         incumbent = max(incumbent, float(values[i]))
-        if values[i] > best:
+        if values[i] > best or (smallest_tie and values[i] == best and tuple(supports[i].tolist()) < witness):
             best = float(values[i])
             witness = tuple(int(j) for j in supports[i])
     return best, witness, evaluated, screened
@@ -380,7 +402,8 @@ def _nodes_skipped(padded: np.ndarray, prefixes: np.ndarray, starts: np.ndarray,
 
 def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
     """The size-s supports outside skipped subtrees, in lexicographic
-    order, as (k, s) ``intp`` arrays of at most ``rows`` supports.
+    order of the indices of ``dev`` (which ``exact_ric`` reorders), as
+    (k, s) ``intp`` arrays of at most ``rows`` supports.
 
     ``dev`` is G - I and ``incumbent()`` the current incumbent, read each
     time a node is tested.  A node (P, a) stands for the supports P + Q

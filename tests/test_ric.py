@@ -109,7 +109,12 @@ def screening_matrix(kind, m, n, seed):
     underflow.  Two kinds stress the tree: exact copies of columns, which
     tie distinct supports bit for bit, and rank-one deviations with some
     zero weights, whose node blocks have exactly the norm of a support
-    below them."""
+    below them.  One kind, outside MATRIX_KINDS, stresses the walk order:
+    entries of G - I of 1.44e308 whose row sums overflow to inf."""
+    if kind == "overflowing-rows":
+        phi = np.eye(max(m, n))[:, :n]
+        phi[0, :3] = 1.2e154
+        return phi
     g = rng(seed)
     if kind in ("rank-one", "flat-rank-one"):
         # G - I = a^2 w w^T.
@@ -176,6 +181,18 @@ class TestScreenedEnumeration:
     # witness is reported.
     @example(kind="flat-rank-one", m=2, shape=(14, 7), seed=6)
     @example(kind="duplicates", m=10, shape=(12, 4), seed=294)
+    # Found by search: the heaviest-first walk meets a tied maximizer before
+    # the lexicographically smallest one, so without the tie rule another
+    # witness is reported; also without its comparison across stacks
+    # (third) or within a stack (first, second and fourth, a tree that
+    # tests nodes).
+    @example(kind="ties", m=29, shape=(13, 4), seed=33761)
+    @example(kind="rank-one", m=2, shape=(10, 6), seed=54594)
+    @example(kind="duplicates", m=23, shape=(13, 7), seed=38622)
+    @example(kind="flat-rank-one", m=22, shape=(14, 7), seed=47176)
+    # Row sums of |G - I| that overflow to inf, where blocks of two heavy
+    # columns tie at inf.
+    @example(kind="overflowing-rows", m=3, shape=(12, 5), seed=1)
     # Trees 5 to 8 levels deep, where 55% to 91% of the supports lie in
     # skipped subtrees.
     @example(kind="gaussian", m=30, shape=(16, 8), seed=1)
@@ -261,8 +278,9 @@ class TestScreenedEnumeration:
 
     @pytest.mark.parametrize("m,seed", [(14, 5), (400, 1)])
     def test_late_maximizer(self, m, seed):
-        # Lexicographic ranks 120334 and 118570 of 125970: the witness sits
-        # in one of the last chunks, after the incumbent has risen.
+        # Lexicographic ranks 120334 and 118570 of 125970: a walk in column
+        # order meets the witness in one of its last chunks, after the
+        # incumbent has risen; the heaviest-first walk at ranks 1500 and 7014.
         phi = gaussian(seed, m, 20)
         est = exact_ric(phi, 8)
         assert_matches_reference(est, reference_exact_ric(phi, 8))
@@ -278,8 +296,8 @@ class TestScreenedEnumeration:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_screen_prunes_most_supports(self, seed):
-        # With the tree, the first bound alone solves 681 and 259 of the
-        # 125,970 supports at seeds 7 and 10.
+        # With the tree, the first bound alone solves up to 526 of the
+        # 125,970 supports (seed 7; 447 and 427 at seeds 5 and 10).
         est = exact_ric(gaussian(seed, 400, 20), 8)
         assert est.blocks_evaluated < 0.02 * math.comb(20, 8)
 
@@ -293,11 +311,11 @@ class TestScreenedEnumeration:
     @pytest.mark.parametrize("seed", range(12))
     def test_tree_prunes_most_supports(self, m, seed):
         # The branch-and-bound is worth keeping only if, with the greedy
-        # incumbent, most supports lie in skipped subtrees.  Over seeds
-        # 0-29 the smallest share is 85% at m=14; at m=400 seeds 14 and 18
-        # fall to 78% and 75%.
+        # incumbent, most supports lie in skipped subtrees.  Walking the
+        # heaviest columns first, over seeds 0-29 the smallest share is
+        # 96.7% at m=14 and 95.1% at m=400 (seed 12).
         est = exact_ric(gaussian(seed, m, 20), 8)
-        assert est.supports_screened <= 0.2 * math.comb(20, 8)
+        assert est.supports_screened <= 0.06 * math.comb(20, 8)
 
     @pytest.mark.parametrize("n,s", [(12, 8), (16, 4)])
     def test_small_trees_test_no_nodes(self, n, s):
@@ -318,6 +336,36 @@ class TestScreenedEnumeration:
         assert all(1 <= len(chunk) <= rows for chunk in chunks)
         got = [tuple(int(i) for i in row) for chunk in chunks for row in chunk]
         assert got == list(itertools.combinations(range(n), s))
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        kind=st.sampled_from(MATRIX_KINDS),
+        m=st.integers(1, 30),
+        shape=columns_and_order(12),
+        seed=st.integers(0, 2**16),
+    )
+    # A tree of C(14, 7) = 3432 supports, whose walk runs the node test, and
+    # row sums of |G - I| that overflow to inf.
+    @example(kind="gaussian", m=12, shape=(14, 7), seed=0)
+    @example(kind="overflowing-rows", m=3, shape=(12, 5), seed=1)
+    def test_mapped_leaves_cover_every_support_once(self, kind, m, shape, seed):
+        # With an incumbent of -inf no subtree is skipped, so the supports
+        # exact_ric hands to its scan, walked heaviest columns first and
+        # mapped back, are every support once, each in increasing order.
+        n, s = shape
+        chunks = []
+
+        def scan(dev, s, incumbent, stacks, **_):
+            chunks.extend(stacks(lambda: -np.inf))
+            return 0.0, tuple(range(s)), 0, 0
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ric, "_scan", scan)
+            exact_ric(screening_matrix(kind, m, n, seed), s)
+        assert all(1 <= len(chunk) <= ric._chunk_rows(s) for chunk in chunks)
+        got = sorted(tuple(int(i) for i in row) for chunk in chunks for row in chunk)
+        assert got == list(itertools.combinations(range(n), s))
+        assert all((np.diff(chunk, axis=1) > 0).all() for chunk in chunks)
 
     def test_blocks_evaluated_stays_in_memory(self):
         est = exact_ric(gaussian(1, 6, 8), 3)
