@@ -12,26 +12,28 @@ random supports (its docstring gives the draw).  Both cut their blocks
 from one deviation matrix G - I, with no symmetrisation, and run them
 through one scan, ``_scan``, so no support's sampled value can differ from
 its certified one and the sampled bound never exceeds the exact value.
-The scan screens each block A by || A @ A ||_F^(1/2) and || A^4 ||_F^(1/4)
-and solves only the supports whose bound reaches the best value already
-solved (the incumbent): started from greedy seed supports in
-``exact_ric``, from one of its own trials in the sampled bound.
+The scan screens each block A by || A^4 ||_F^(1/4) and solves only the
+supports whose bound reaches the best value already solved (the
+incumbent): started from greedy seed supports in ``exact_ric``, from one
+of its own trials in the sampled bound.
 
 ``exact_ric`` also walks a tree of supports instead of listing them.  A
 node is a prefix P together with the columns R = {a, ..., N-1} after it;
 its subtree holds every support P + Q with Q drawn from R.  By Cauchy
 interlacing each such block's deviation is at most that of the node block
 A = G_T - I on T = P + R, at most || A^16 ||_F^(1/16), and a subtree where
-that bound, widened, is below the incumbent is skipped whole; the node
-test decides it without a root, as || (cA)^16 ||_F^2 < 1.  The walk takes
-the columns heaviest first (by row sums of |G - I|), so each trailing set
-R holds light columns and subtrees are skipped early.
+that bound, widened, is below the incumbent is skipped whole.  The screen
+is the same test at two squarings instead of four: one function,
+``_below``, decides both without a root, as || (cA)^(2^j) ||_F^2 < 1.
+The walk takes the columns heaviest first (by row sums of |G - I|), so
+each trailing set R holds light columns and subtrees are skipped early.
 
 Every bound is widened by a rounding slack and ties go to the
 lexicographically smallest support, so neither the tree nor the screen
-can change a reported value or witness; they only skip work (see
-``_scan`` and ``_nodes_skipped``).  ``RicEstimate.blocks_evaluated``
-counts the eigen-solves.
+can change a reported value or witness; they only skip work (``_below``
+gives the rounding, underflow and overflow argument, ``_scan`` and
+``exact_ric`` the rest).  ``RicEstimate.blocks_evaluated`` counts the
+eigen-solves.
 
 Values above 1 are reported as-is: they simply mean the matrix has no
 restricted isometry at that order (some block is singular or worse).
@@ -64,28 +66,23 @@ _CHUNK_ENTRIES = 512 * 64
 # Bytes the sampled bound's support drawing may hold at once.
 _DRAW_BYTES = 1 << 22
 
-# The node test squares its scaled block this many times, and so compares
-# ||A||_2 with the incumbent up to a factor of at most t^(1/32) for t
-# columns, without a root (rounding: see _nodes_skipped).
+# ``_below`` squares a scaled block this many times: the node test four, so
+# that it compares ||A||_2 with the incumbent up to a factor of at most
+# t^(1/32) for t columns, and the per-support screen two (four there read
+# ``certify`` about 3% slower over 3 pairs of runs).
 _NODE_SQUARINGS = 4
+_SCREEN_SQUARINGS = 2
 
 # A node is tested only when screening its supports one by one would cost
 # more than this many times testing its block (s^3 per support against
 # t^3 per node, the cost of one matrix product).
 _NODE_COST = 3.0
 
-# Trees of fewer supports test no nodes.  Walking the heaviest columns first,
-# C(12, 8) ran 1.1-1.2x faster without node tests, while C(16, 4) = 1820 ran
-# even to 2x slower, C(14, 6) = 3003 even to 3x and C(20, 8) 9-18x slower
-# (Gaussian, m = 14 and 400, five seeds each).
-_TREE_MIN_SUPPORTS = 3000
-
-# The screen keeps a support when b * (1 + _SCREEN_SLACK) + _SCREEN_FLOOR is
-# not below the incumbent.  The relative slack covers rounding in the bound
-# and in the eigensolver (_scan widens it for orders beyond about 60);
-# the absolute floor covers underflow in the bound's sums (see _scan).
-_SCREEN_SLACK = 1e-9
-_SCREEN_FLOOR = 1e-30
+# ``_below`` passes a block when b * (1 + _SLACK + 16 t^3 eps) + _FLOOR is
+# below the incumbent: the relative slack covers rounding in the bound and
+# in the eigensolver, the absolute floor underflow (see ``_below``).
+_SLACK = 1e-9
+_FLOOR = 1e-30
 
 # Absolute-relative slack for the isometry sandwich test at the boundary.
 SANDWICH_SLACK = 1e-12
@@ -114,7 +111,7 @@ class RicEstimate:
     bound or by an eigen-solve, and the trial count for sampled mode.
     ``blocks_evaluated`` counts the eigen-solves run on supports: in exact
     mode not the seeds' that start the incumbent, in sampled mode at most
-    the trial count (1 to 34 of 1,000 trials at order 8 on 32 seeded
+    the trial count (1 to 14 of 1,000 trials at order 8 on 33 seeded
     14 x 20 and 400 x 20 Gaussian matrices each).  ``supports_screened`` counts the supports
     of exact mode that reached the per-support screen, that no skipped
     subtree covered.  Both stay in memory and are in no output file.
@@ -171,17 +168,14 @@ def exact_ric(
 
     Value and witness equal those of an unscreened scan, bit for bit,
     whatever the seeds.  ``_scan`` argues it for the screen.  A skipped
-    subtree holds no maximizer: its widened node bound is below the
-    incumbent, hence below the final maximum M, and at least the solved
-    value of each of its supports.  A node block is a principal submatrix
-    of a permuted G - I, so by interlacing the exact node norm dominates
-    each support's exact norm; the slack 1e-9 + 16 t^3 eps exceeds the
-    test's rounding on t columns (t^(5/2) eps relative) plus the
-    eigensolver's backward error; overflow only keeps a node, underflow
-    only skips one far below M, and no node is skipped while M <= 1e-30
-    (see ``_nodes_skipped``).  So every maximizer is solved, whatever the
-    walk order, and ``_scan``'s tie rule keeps the lexicographically
-    smallest, as the unscreened scan does.
+    subtree holds no maximizer: a node block is a principal submatrix of a
+    permuted G - I, so by interlacing the exact node norm dominates each
+    support's exact norm, and ``_below`` passes no block whose supports
+    reach the incumbent, which is at most the final maximum M (its
+    docstring gives the rounding, underflow and overflow argument; an
+    infinite incumbent skips no subtree).  So every maximizer is solved,
+    whatever the walk order, and ``_scan``'s tie rule keeps the
+    lexicographically smallest, as the unscreened scan does.
 
     Every support is certified, by a node test, by the screen or by an
     eigen-solve, so ``supports_examined`` is C(N, s) (``RicEstimate``
@@ -229,52 +223,42 @@ def _scan(dev: np.ndarray, s: int, incumbent: float, stacks, smallest_tie: bool 
     ``stacks(current)`` yields (k, s) ``intp`` arrays of supports, and
     ``current()`` reads the incumbent, the best value solved so far.  An
     incumbent of -inf starts at the first stack's support with the largest
-    ||A @ A||_F, solved once, its value kept in place.  ``_screen`` drops
-    the supports whose bound b >= ||A||_2 on A = G[S, S] - I (the smaller
-    of ||A @ A||_F^(1/2) and ||A^4||_F^(1/4)), widened to
-    b * (1 + 1e-9 + 16 s^3 eps) + 1e-30, is below the incumbent; the rest
-    are solved with one ``eigvalsh`` call and the incumbent rises to the
-    stack's best.  Dropped supports hold -inf, never NaN, and the stack's
-    first-index argmax replaces the running maximum only on strict
-    improvement; with ``smallest_tie`` (``exact_ric``'s walk is not
-    lexicographic) the lexicographically smallest support of the largest
-    value wins, also over a running maximum of the same bits.  Value and
-    witness are those of solving every support:
+    ||A @ A||_F, solved once, its value kept in place.  The screen drops
+    the supports whose block A = G[S, S] - I passes ``_below`` at two
+    squarings (its bound ||A^4||_F^(1/4) >= ||A||_2, widened, is below the
+    incumbent); the rest are cut again and solved with one ``eigvalsh``
+    call, and the incumbent rises to the stack's best.  Dropped supports
+    hold -inf, never NaN, and the stack's first-index argmax replaces the
+    running maximum only on strict improvement; with ``smallest_tie``
+    (``exact_ric``'s walk is not lexicographic) the lexicographically
+    smallest support of the largest value wins, also over a running
+    maximum of the same bits.  Value and witness are those of solving every
+    support:
 
     * The incumbent is always the solved value of a support that counts
       (a trial of the sampled bound, a seed of ``exact_ric``), so it never
       exceeds the final maximum M.
-    * A dropped support is no maximizer.  Its widened bound is below M,
-      while the computed bound of a support with solved value M is not:
-      its exact bound dominates its exact norm, and the relative slack
-      exceeds the rounding in the products and sums of squares (about
-      s^3 eps relative) plus the eigensolver's backward error (about
-      s eps ||A||_2).  Those sums scale as ||A||_2^4 and ||A||_2^8, so
-      they stay normal while ||A||_2 is above about 1e-38; the floor keeps
-      every support when M is below 1e-30.  An overflowing product gives
-      an infinite or NaN bound: the screen keeps NaN, and ``fmin`` falls
-      back from an infinite or NaN refinement to b.
+    * A dropped support is no maximizer: ``_below`` passes no block whose
+      solved value reaches the incumbent (its docstring gives the rounding,
+      underflow and overflow argument).
     * So every maximizer is solved by the same ``eigvalsh`` on the same
       block, which a batched call solves on its own, to the unscreened
       bits, in any stack order.  The first maximizer in scan order wins,
       or with ``smallest_tie`` the lexicographically smallest one.
     """
     best, witness, evaluated, screened = -np.inf, tuple(range(s)), 0, 0
-    widen = 1.0 + _SCREEN_SLACK + 16 * s**3 * np.finfo(float).eps
     for supports in stacks(lambda: incumbent):
         screened += len(supports)
         blocks = _blocks(dev, supports)
         values = np.full(len(supports), -np.inf)
         if incumbent == -np.inf:
-            with np.errstate(over="ignore", invalid="ignore"):
-                squares = blocks @ blocks
-                first = int(np.argmax(np.einsum("kij,kij->k", squares, squares)))
+            first = int(np.argmax(_square_sums(blocks)))
             values[first] = incumbent = float(_deviations(blocks[first : first + 1])[0])
             evaluated += 1
-        kept = _screen(blocks, incumbent, widen)
+        kept = np.flatnonzero(~_below(blocks, s, incumbent, _SCREEN_SQUARINGS))
         kept = kept[values[kept] == -np.inf]
         if kept.size:  # most stacks keep no support
-            values[kept] = _deviations(blocks[kept])
+            values[kept] = _deviations(_blocks(dev, supports[kept]))
         evaluated += kept.size
         i = int(np.argmax(values))
         if smallest_tie and -np.inf < values[i] >= best:
@@ -293,17 +277,57 @@ def _blocks(dev: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return np.take(dev, supports[:, :, None] * n + supports[:, None, :])
 
 
-def _screen(blocks: np.ndarray, incumbent: float, widen: float) -> np.ndarray:
-    """Indices of the deviation blocks whose widened screening bound is not
-    below the incumbent (see ``_scan``)."""
+def _below(blocks: np.ndarray, t, m: float, squarings: int) -> np.ndarray:
+    """Whether each block A of a stack has a widened bound below the
+    incumbent m: b * widen + 1e-30 < m for b = ||A^(2^j)||_F^(1/2^j) >=
+    ||A||_2 at j = ``squarings`` and widen = 1 + 1e-9 + 16 t^3 eps, where
+    t (an int, or one per block) counts A's columns; zero rows and columns
+    padded beyond them change nothing.  ``blocks`` is overwritten.
+
+    It is decided without a root or a per-block scale, as
+    ||(cA)^(2^j)||_F^2 < 1 for c = widen / (m - 1e-30): A is scaled once
+    and squared j times.  ``_scan``'s screen (j = 2, a support's block) and
+    the node test (j = 4, a node block, which dominates its subtree's
+    blocks by interlacing) skip only what passes, and a block passes only
+    if no support it covers solves to m or more.  Since m is a solved
+    value of a support that counts, at most the final maximum M, no
+    maximizer is skipped:
+
+    * Rounding.  Each squaring adds rounding of about t^2 eps relative to
+      ||cA||_2^(2^i), and errors at most double per squaring, so the sum is
+      off by about 2^(j+1) t^(5/2) eps relative, t^(5/2) eps on c * b at
+      any j.  The slack exceeds that plus the eigensolver's backward error
+      (about t eps ||A||_2).
+    * Overflow or NaN gives a sum not below 1, which keeps the block.
+    * Underflow.  A block whose exact sum reaches 1 has
+      ||cA||_2 >= t^(-1/2^(j+1)), so each power (cA)^(2^i) has a norm of
+      at least t^(-1/2), far above underflow's absolute error (2^-1022 per
+      operation): underflow only passes blocks far below m.
+    * Only 1e-30 < m < inf tests anything.  Below it the scale would not
+      be positive.  At m = inf it is 0, which would pass every block, yet a
+      finite block with entries near 1e308 can still solve to inf and be
+      the maximizer: an infinite incumbent keeps every block.
+    """
+    k = len(blocks)
+    if not _FLOOR < m < np.inf:
+        return np.zeros(k, dtype=bool)
+    spare = np.empty_like(blocks)
+    scale = (1.0 + _SLACK + 16.0 * np.asarray(t) ** 3 * np.finfo(float).eps) / (m - _FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks *= np.reshape(scale, (-1, 1, 1))
+        for _ in range(squarings):
+            np.matmul(blocks, blocks, out=spare)
+            blocks, spare = spare, blocks
+        flat = blocks.reshape(k, -1)
+        return np.einsum("ki,ki->k", flat, flat) < 1.0
+
+
+def _square_sums(blocks: np.ndarray) -> np.ndarray:
+    """||A @ A||_F^2 for each block A of a stack, inf or NaN where it
+    overflows: the proxy that picks the first incumbent and grows seeds."""
     with np.errstate(over="ignore", invalid="ignore"):
         squares = blocks @ blocks
-        bounds = np.sqrt(np.sqrt(np.einsum("kij,kij->k", squares, squares)))
-        near = ~(bounds * widen + _SCREEN_FLOOR < incumbent)
-        squares = squares[near]
-        fourth = squares @ squares
-        bounds[near] = np.fmin(bounds[near], np.einsum("kij,kij->k", fourth, fourth) ** 0.125)
-    return np.flatnonzero(~(bounds * widen + _SCREEN_FLOOR < incumbent))
+        return np.einsum("kij,kij->k", squares, squares)
 
 
 def _deviations(blocks: np.ndarray) -> np.ndarray:
@@ -345,10 +369,7 @@ def _greedy_seeds(dev: np.ndarray, s: int) -> np.ndarray:
             cand = np.empty((k, n, r + 1), dtype=np.intp)
             cand[:, :, :r] = supports[:, None, :]
             cand[:, :, r] = np.arange(n)
-            blocks = _blocks(dev, cand.reshape(k * n, r + 1))
-            with np.errstate(over="ignore", invalid="ignore"):
-                squares = blocks @ blocks
-                proxy = np.einsum("kij,kij->k", squares, squares).reshape(k, n)
+            proxy = _square_sums(_blocks(dev, cand.reshape(k * n, r + 1))).reshape(k, n)
             np.put_along_axis(proxy, supports, -np.inf, axis=1)
             supports = np.hstack([supports, np.argmax(proxy, axis=1)[:, None]])
         grown.append(supports)
@@ -360,25 +381,14 @@ def _greedy_seeds(dev: np.ndarray, s: int) -> np.ndarray:
 
 def _nodes_skipped(padded: np.ndarray, prefixes: np.ndarray, starts: np.ndarray, m: float) -> np.ndarray:
     """Whether each node block A = G_T - I on T = P + {a, ..., N-1} (P a
-    row of ``prefixes``, a of ``starts``, t = |T|) passes the skip test
-    b * widen + 1e-30 < m against the incumbent m, for b = ||A^16||_F^(1/16)
-    and widen = 1 + 1e-9 + 16 t^3 eps.  It is decided without a root or a
-    per-node scale: A, cut from ``padded`` (G - I with a zero row and
-    column appended, so shorter blocks pad by indexing), is scaled by
-    c = widen / (m - 1e-30), squared four times, and skipped where
-    ||(cA)^16||_F^2 < 1; none is skipped when m <= 1e-30.  Each squaring
-    adds rounding of about t^2 eps relative to ||cA||_2^(2^j), and errors
-    at most double per squaring, so the sum is off by about 32 t^(5/2) eps
-    relative (t^(5/2) eps on c * b), well inside the slack.  Overflow or
-    NaN gives a sum not below 1, which keeps the node.  A node whose exact
-    sum reaches 1 has ||cA||_2 >= t^(-1/32), so each power (cA)^(2^j) has
-    a norm of at least t^(-1/2), far above underflow's absolute error
-    (2^-1022 per operation): underflow only skips nodes far below m.
+    row of ``prefixes``, a of ``starts``) passes ``_below`` against the
+    incumbent m at ``_NODE_SQUARINGS`` squarings, so that its subtree holds
+    no maximizer (see ``_below``).  A is cut from ``padded``
+    (G - I with a zero row and column appended, so shorter blocks pad by
+    indexing) and scaled in place.
     """
     n = len(padded) - 1
     k, p = prefixes.shape
-    if not m > _SCREEN_FLOOR:
-        return np.zeros(k, dtype=bool)
     width = p + n - int(starts.min())
     rows = max(1, _CHUNK_ENTRIES // (width * width))
     if k > rows:
@@ -388,16 +398,7 @@ def _nodes_skipped(padded: np.ndarray, prefixes: np.ndarray, starts: np.ndarray,
     idx = np.empty((k, width), dtype=np.intp)
     idx[:, :p] = prefixes
     idx[:, p:] = np.minimum(starts[:, None] + np.arange(width - p), n)
-    blocks = _blocks(padded, idx)
-    spare = np.empty_like(blocks)
-    scale = (1.0 + _SCREEN_SLACK + 16.0 * (p + n - starts) ** 3 * np.finfo(float).eps) / (m - _SCREEN_FLOOR)
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks *= scale[:, None, None]
-        for _ in range(_NODE_SQUARINGS):
-            np.matmul(blocks, blocks, out=spare)
-            blocks, spare = spare, blocks
-        flat = blocks.reshape(k, -1)
-        return np.einsum("ki,ki->k", flat, flat) < 1.0
+    return _below(_blocks(padded, idx), p + n - starts, m, _NODE_SQUARINGS)
 
 
 def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
@@ -414,8 +415,7 @@ def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
     vectorised binary search finds a start a' whose node ``_nodes_skipped``
     skips, and only the children before a' are kept.  Starts whose
     subtree is too small to repay a node test (``_NODE_COST``) are not
-    tested, nor any node of a tree of fewer than ``_TREE_MIN_SUPPORTS``
-    supports.  Prefixes are expanded a batch at a time, depth first, and at
+    tested.  Prefixes are expanded a batch at a time, depth first, and at
     depth s - 1 the kept children are the supports themselves.  The stack
     holds the children of at most one batch per depth, so memory does not
     grow with C(N, s).
@@ -430,7 +430,7 @@ def _surviving_leaves(dev: np.ndarray, s: int, rows: int, incumbent):
             if 1 < math.comb(n - a, s - p)
             and math.comb(n - a, s - p) * s**3 >= _NODE_COST * (p + n - a) ** 3
         ]
-        last_tested.append(max(worth, default=-1) if math.comb(n, s) >= _TREE_MIN_SUPPORTS else -1)
+        last_tested.append(max(worth, default=-1))
     padded = np.pad(dev, (0, 1)) if max(last_tested) >= 0 else None  # for _nodes_skipped
     batch = max(1, _CHUNK_ENTRIES // (n * s))
     pending: list[np.ndarray] = []

@@ -109,13 +109,18 @@ def screening_matrix(kind, m, n, seed):
     underflow.  Two kinds stress the tree: exact copies of columns, which
     tie distinct supports bit for bit, and rank-one deviations with some
     zero weights, whose node blocks have exactly the norm of a support
-    below them.  One kind, outside MATRIX_KINDS, stresses the walk order:
-    entries of G - I of 1.44e308 whose row sums overflow to inf."""
-    if kind == "overflowing-rows":
-        phi = np.eye(max(m, n))[:, :n]
-        phi[0, :3] = 1.2e154
-        return phi
+    below them.  Two kinds, outside MATRIX_KINDS (the sampled bound's
+    per-trial oracle symmetrises blocks, which overflows), set two or three
+    columns to 1.2e154 in row 0: entries of G - I of 1.44e308, whose row
+    sums overflow to inf and whose blocks can solve to inf.  They stress the
+    walk order (the first three columns) and an infinite incumbent (columns
+    drawn from the seed)."""
     g = rng(seed)
+    if kind in ("overflowing-rows", "overflowing-columns"):
+        phi = np.eye(max(m, n))[:, :n]
+        heavy = slice(3) if kind == "overflowing-rows" else g.choice(n, min(n, g.integers(2, 4)), replace=False)
+        phi[0, heavy] = 1.2e154
+        return phi
     if kind in ("rank-one", "flat-rank-one"):
         # G - I = a^2 w w^T.
         weights = [-1.0, 1.0, 2.0] if kind == "rank-one" else [-1.0, 0.0, 1.0, 2.0]
@@ -193,6 +198,12 @@ class TestScreenedEnumeration:
     # Row sums of |G - I| that overflow to inf, where blocks of two heavy
     # columns tie at inf.
     @example(kind="overflowing-rows", m=3, shape=(12, 5), seed=1)
+    # Heavy columns 3, 6, 7 (first), 3, 4, 14 (second) and 2, 3, 11 (third),
+    # whose blocks solve to inf: once the incumbent is inf, a node test that
+    # scales by 1 / inf = 0 skips subtrees that hold the smallest maximizer.
+    @example(kind="overflowing-columns", m=3, shape=(14, 6), seed=0)
+    @example(kind="overflowing-columns", m=15, shape=(15, 5), seed=8)
+    @example(kind="overflowing-columns", m=14, shape=(14, 7), seed=10)
     # Trees 5 to 8 levels deep, where 55% to 91% of the supports lie in
     # skipped subtrees.
     @example(kind="gaussian", m=30, shape=(16, 8), seed=1)
@@ -230,18 +241,21 @@ class TestScreenedEnumeration:
     )
     # Node blocks that overflow when scaled by the inverse incumbent of
     # another node (1e120 columns), with 1e-120 columns, with deviations of
-    # 1e-45 .. 1e-120, and with an all-zero node block (incumbent 0).
+    # 1e-45 .. 1e-120, with an all-zero node block (incumbent 0), and with
+    # a subtree whose supports solve to inf (incumbent inf).
     @example(kind="huge-columns", m=25, seed=6, stack=(12, 5, [((0, 1), 8), ((2, 3), 4), ((1, 4), 9)]))
     @example(kind="tiny-columns", m=7, seed=0, stack=(12, 4, [((0,), 1), ((3,), 5), ((2,), 8)]))
     @example(kind="tiny-deviation", m=9, seed=9, stack=(12, 6, [((0, 2), 3), ((1, 5), 6)]))
     @example(kind="flat-rank-one", m=2, seed=98, stack=(12, 3, [((), 8), ((), 0)]))
+    @example(kind="overflowing-rows", m=3, seed=0, stack=(12, 5, [((0,), 1), ((3,), 4)]))
     def test_node_bound_covers_subtree(self, kind, m, seed, stack):
         # The proof obligation of a skipped subtree, and that the test is
         # not vacuous.  With the incumbent at the largest solved deviation
         # below one node, no node whose subtree reaches it is skipped; with
         # it at t^(1/32) (1 + 1e-6) ||A_T||_2 + 1e-30, above the node bound,
-        # the node is skipped.  Each test runs on the whole stack, so the
-        # zero padding of the shorter blocks is exercised too.
+        # the node is skipped, unless that is inf, which tests no node.  Each
+        # test runs on the whole stack, so the zero padding of the shorter
+        # blocks is exercised too.
         n, s, nodes = stack
         phi = screening_matrix(kind, m, n, seed)
         dev = phi.T @ phi - np.eye(n)
@@ -258,7 +272,7 @@ class TestScreenedEnumeration:
             assert not _nodes_skipped(padded, prefixes, starts, solved[i])[solved >= solved[i]].any()
             node = np.array([*prefix, *range(a, n)])
             norm = np.abs(np.linalg.eigvalsh(dev[np.ix_(node, node)])).max()
-            if norm >= 1e-25:
+            if 1e-25 <= norm < np.inf:
                 ceiling = len(node) ** (1 / 32) * (1 + 1e-6) * norm + 1e-30
                 assert _nodes_skipped(padded, prefixes, starts, ceiling)[i]
 
@@ -296,8 +310,9 @@ class TestScreenedEnumeration:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_screen_prunes_most_supports(self, seed):
-        # With the tree, the first bound alone solves up to 526 of the
-        # 125,970 supports (seed 7; 447 and 427 at seeds 5 and 10).
+        # With the tree, the screen solves up to 40 of the 125,970 supports
+        # (seed 5); at one squaring instead of two, up to 526 (seed 7; 447
+        # and 427 at seeds 5 and 10).
         est = exact_ric(gaussian(seed, 400, 20), 8)
         assert est.blocks_evaluated < 0.02 * math.comb(20, 8)
 
@@ -318,13 +333,14 @@ class TestScreenedEnumeration:
         assert est.supports_screened <= 0.06 * math.comb(20, 8)
 
     @pytest.mark.parametrize("n,s", [(12, 8), (16, 4)])
-    def test_small_trees_test_no_nodes(self, n, s):
-        # Below _TREE_MIN_SUPPORTS the walk tests no node, so every support
-        # reaches the screen, and the result is still the unscreened one.
+    def test_small_trees_skip_subtrees(self, n, s):
+        # No tree is too small for node tests: only _NODE_COST decides which
+        # starts are tested.  These small trees skip subtrees (65 of 495 and
+        # 479 of 1,820 supports reach the screen), with the unscreened result.
         phi = gaussian(5, 14, n)
         est = exact_ric(phi, s)
         assert_matches_reference(est, reference_exact_ric(phi, s))
-        assert est.supports_screened == math.comb(n, s)
+        assert est.supports_screened < math.comb(n, s)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=columns_and_order(12), rows=st.integers(1, 40))
